@@ -13,9 +13,7 @@ from .baselines import (
     BASELINE_METHODS,
     BaselineConfig,
     aggregate_cusum,
-    baseline_statistic,
     baseline_wbs,
-    cusum,
     cusum_matrix,
     default_binweight_alpha,
     scan_interval_baseline,
@@ -38,10 +36,7 @@ from .costs import (
     CostModel,
     estimate_dispersion,
     estimate_sigma,
-    gaussian_cost,
     gaussian_model,
-    negbin_cost,
-    negbin_mle_p,
     negbin_model,
 )
 from .diagnostics import (
@@ -88,7 +83,7 @@ from .simlab import (
     scenario,
     signal_matrix,
 )
-from .single_change import StatisticProfile, d_statistic, scan_interval, statistic_profile
+from .single_change import StatisticProfile, scan_interval, statistic_profile
 from .wbs import IntervalSet, draw_intervals, subset_wbs
 
 __version__ = "0.1.0"
@@ -124,14 +119,11 @@ __all__ = [
     "TimeSeriesMatrix",
     "aggregate_cusum",
     "amoc_scenario",
-    "baseline_statistic",
     "baseline_wbs",
     "build_report",
     "calibrate_baseline_threshold",
     "calibrate_beta",
-    "cusum",
     "cusum_matrix",
-    "d_statistic",
     "default_binweight_alpha",
     "dense_cap",
     "draw_intervals",
@@ -139,13 +131,10 @@ __all__ = [
     "estimate_sigma",
     "evaluate",
     "fit_model",
-    "gaussian_cost",
     "gaussian_model",
     "generate",
     "make_matrix",
     "matching_window",
-    "negbin_cost",
-    "negbin_mle_p",
     "negbin_model",
     "null_model",
     "optimal_partition",

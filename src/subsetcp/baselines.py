@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KIND_DENSE, Detection, InputDataError, SegmentationResult
-from .costs import GAUSSIAN, CostModel
+from .costs import CostModel
 from .wbs import IntervalSet, segmentation_driver
 
 METHOD_MEAN = "mean"
@@ -45,45 +45,9 @@ class BaselineConfig:
             raise InputDataError("binweight needs binweight_alpha")
 
 
-def _require_gaussian(model: CostModel) -> None:
-    if model.kind != GAUSSIAN:
-        raise InputDataError("CUSUM baselines are defined for the Gaussian model only")
-
-
-def cusum(model: CostModel, i: int, l: int, u: int, t: int) -> float:
-    """Absolute CUSUM of variate ``i`` at split ``t`` within (l, u).
-
-    Equals sqrt(left*right/total) * |mean difference| / sigma, computed
-    interval-locally; its square is the Gaussian D statistic.
-    """
-    _require_gaussian(model)
-    if not l <= t < u:
-        raise ValueError(f"split {t} outside {l}..{u - 1}")
-    k = i - 1
-    left = t - l + 1
-    right = u - t
-    sum_left = model.cum_y[k, t] - model.cum_y[k, l - 1]
-    sum_right = model.cum_y[k, u] - model.cum_y[k, t]
-    diff = sum_right / right - sum_left / left
-    return float(
-        math.sqrt(left * right / (left + right)) * abs(diff) / model.sigma[k]
-    )
-
-
 def cusum_matrix(model: CostModel, l: int, u: int) -> np.ndarray:
-    """CUSUM rows for all variates and every split of (l, u); shape (d, u-l)."""
-    _require_gaussian(model)
-    if not (1 <= l < u <= model.n):
-        raise ValueError(f"interval ({l}, {u}) not inside 1..{model.n}")
-    length = u - l + 1
-    len_left = np.arange(1, u - l + 1, dtype=float)
-    len_right = length - len_left
-    sum_full = model.cum_y[:, u] - model.cum_y[:, l - 1]
-    sum_left = model.cum_y[:, l:u] - model.cum_y[:, l - 1 : l]
-    sum_right = sum_full[:, None] - sum_left
-    diff = sum_right / len_right - sum_left / len_left
-    scale = np.sqrt(len_left * len_right / length)
-    return scale * np.abs(diff) / model.sigma[:, None]
+    """Absolute CUSUM rows for all variates and every split of (l, u); shape (d, u-l)."""
+    return np.abs(model.cusum(l, u))
 
 
 def aggregate_cusum(method: str, w: np.ndarray, binweight_alpha: float | None = None) -> np.ndarray:
@@ -97,12 +61,6 @@ def aggregate_cusum(method: str, w: np.ndarray, binweight_alpha: float | None = 
             raise InputDataError("binweight needs binweight_alpha")
         return np.where(w > binweight_alpha, w, 0.0).sum(axis=0)
     raise InputDataError(f"unknown baseline {method!r}; choose from {BASELINE_METHODS}")
-
-
-def baseline_statistic(config: BaselineConfig, w_row: np.ndarray) -> float:
-    """Aggregated statistic minus the threshold, for one split's CUSUM row."""
-    w = np.asarray(w_row, dtype=float)[:, None]
-    return float(aggregate_cusum(config.method, w, config.binweight_alpha)[0] - config.threshold)
 
 
 def scan_interval_baseline(

@@ -6,8 +6,13 @@ mean, giving the scaled residual sum of squares.  ``negbin`` treats each
 variate as negative binomial counts with a fixed per-variate dispersion
 ``r`` and a segment-wise success probability, estimated in closed form.
 
-All costs are evaluated in O(1) from per-variate prefix tables, so a model
-is built once per matrix and queried many times.
+Costs are kept up to terms that add over time points (sum of y^2 / sigma^2,
+sum of log C(y + r - 1, y)): such terms cancel exactly in every split gain
+and in every comparison of segmentations of the same span.  What is left
+depends on a span only through its sum and length, so one prefix table
+serves every query in O(1).  Gaussian series are centred at their mean and
+divided by sigma before the prefix sum; the cost does not change when a
+variate is shifted, and centring keeps the sums small on offset data.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import xlogy
 
 from .core import InputDataError, NumericalError, TimeSeriesMatrix
 
@@ -30,11 +35,13 @@ DEFAULT_R_MAX = 1e4
 
 @dataclass(eq=False)
 class CostModel:
-    """Precomputed cost tables for one matrix.
+    """Precomputed cost table for one matrix.
 
-    ``cum_y`` (and friends) hold prefix sums with a leading zero column, so
-    the sum over 1-based ``s..t`` is ``cum[:, t] - cum[:, s-1]``.  Instances
-    are treated as immutable after construction.
+    ``cum_y`` holds per-variate prefix sums with a leading zero column, so
+    the sum over 1-based ``s..t`` is ``cum_y[:, t] - cum_y[:, s-1]``.  For
+    the Gaussian model the summed series is (y - mean(y)) / sigma; for the
+    negbin model it is the raw counts.  Instances are treated as immutable
+    after construction.
     """
 
     kind: str
@@ -43,64 +50,63 @@ class CostModel:
     sigma: np.ndarray | None
     r: np.ndarray | None
     cum_y: np.ndarray
-    cum_y2: np.ndarray | None
-    cum_lbc: np.ndarray | None
 
-    def _check_segment(self, i: int, s: int, t: int) -> None:
-        if not 1 <= i <= self.d:
-            raise ValueError(f"variate index {i} outside 1..{self.d}")
-        if s > t:
-            raise ValueError(f"segment start {s} exceeds end {t}")
-        if s < 1 or t > self.n:
-            raise ValueError(f"segment {s}..{t} outside 1..{self.n}")
+    def span_cost(self, total, length, k: int | None = None):
+        """Cost of spans with the given sums and lengths, up to additive terms.
 
-    def segment_cost(self, i: int, s: int, t: int) -> float:
-        """Cost of variate ``i`` over the 1-based inclusive span ``s..t``."""
-        self._check_segment(i, s, t)
-        k = i - 1
-        length = t - s + 1
-        total = self.cum_y[k, t] - self.cum_y[k, s - 1]
+        Gaussian: -S^2 / len on the scaled series.  Negbin:
+        -2 [S log(S / (len r + S)) + len r log(len r / (len r + S))].
+        ``k`` (0-based) selects one variate's dispersion; without it, rows of
+        ``total`` are variates.
+        """
         if self.kind == GAUSSIAN:
-            sq = self.cum_y2[k, t] - self.cum_y2[k, s - 1]
-            return float(_gauss_cost(total, sq, length, self.sigma[k] ** 2))
-        lbc = self.cum_lbc[k, t] - self.cum_lbc[k, s - 1]
-        return float(_negbin_cost(total, lbc, length, self.r[k]))
+            return -total * total / length
+        r = self.r[:, None] if k is None else self.r[k]
+        lr = length * r
+        scale = lr + total
+        return -2.0 * (xlogy(total, total / scale) + lr * np.log(lr / scale))
+
+    def _split_sums(self, l: int, u: int):
+        """Interval length, left lengths, full sums (d, 1) and left sums (d, u-l)."""
+        if not (1 <= l < u <= self.n):
+            raise ValueError(f"interval ({l}, {u}) not inside 1..{self.n}")
+        base = self.cum_y[:, l - 1 : l]
+        return (
+            u - l + 1,
+            np.arange(1, u - l + 1, dtype=float),
+            self.cum_y[:, u : u + 1] - base,
+            self.cum_y[:, l:u] - base,
+        )
+
+    def cusum(self, l: int, u: int) -> np.ndarray:
+        """Signed CUSUM of every variate at every split of (l, u); shape (d, u-l).
+
+        Column ``t - l`` holds sqrt(left*right/length) * (right mean - left
+        mean) of the sigma-scaled series; its square is the Gaussian gain.
+        """
+        if self.kind != GAUSSIAN:
+            raise InputDataError("CUSUM statistics are defined for the Gaussian model only")
+        length, len_left, sum_full, sum_left = self._split_sums(l, u)
+        scale = np.sqrt(length / (len_left * (length - len_left)))
+        return (sum_full * (len_left / length) - sum_left) * scale
 
     def gain_matrix(self, l: int, u: int) -> np.ndarray:
         """Split gains D for all variates and all splits of interval (l, u).
 
         Returns a (d, u-l) array whose column ``t - l`` holds, per variate,
         cost(l..u) - cost(l..t) - cost(t+1..u) for the split at ``t``.
-        Gains are clipped at zero; they are non-negative up to rounding.
+        Gains are non-negative; negbin rounding residue is clipped at zero.
         """
-        if not (1 <= l < u <= self.n):
-            raise ValueError(f"interval ({l}, {u}) not inside 1..{self.n}")
-        length = u - l + 1
-        len_left = np.arange(1, u - l + 1, dtype=float)
-        len_right = length - len_left
-
-        sum_full = self.cum_y[:, u] - self.cum_y[:, l - 1]
-        sum_left = self.cum_y[:, l:u] - self.cum_y[:, l - 1 : l]
-        sum_right = sum_full[:, None] - sum_left
-
         if self.kind == GAUSSIAN:
-            var = (self.sigma**2)[:, None]
-            sq_full = self.cum_y2[:, u] - self.cum_y2[:, l - 1]
-            sq_left = self.cum_y2[:, l:u] - self.cum_y2[:, l - 1 : l]
-            sq_right = sq_full[:, None] - sq_left
-            cost_full = _gauss_cost(sum_full[:, None], sq_full[:, None], length, var)
-            cost_left = _gauss_cost(sum_left, sq_left, len_left, var)
-            cost_right = _gauss_cost(sum_right, sq_right, len_right, var)
-        else:
-            r = self.r[:, None]
-            lbc_full = self.cum_lbc[:, u] - self.cum_lbc[:, l - 1]
-            lbc_left = self.cum_lbc[:, l:u] - self.cum_lbc[:, l - 1 : l]
-            lbc_right = lbc_full[:, None] - lbc_left
-            cost_full = _negbin_cost(sum_full[:, None], lbc_full[:, None], length, r)
-            cost_left = _negbin_cost(sum_left, lbc_left, len_left, r)
-            cost_right = _negbin_cost(sum_right, lbc_right, len_right, r)
-
-        return np.maximum(cost_full - cost_left - cost_right, 0.0)
+            w = self.cusum(l, u)
+            return w * w
+        length, len_left, sum_full, sum_left = self._split_sums(l, u)
+        gains = (
+            self.span_cost(sum_full, length)
+            - self.span_cost(sum_left, len_left)
+            - self.span_cost(sum_full - sum_left, length - len_left)
+        )
+        return np.maximum(gains, 0.0)
 
     def boundary_cost_matrix(self, i: int, bounds: np.ndarray) -> np.ndarray:
         """Costs of variate ``i`` between candidate boundaries.
@@ -108,39 +114,14 @@ class CostModel:
         ``bounds`` is an increasing vector of prefix indices (0-based, i.e.
         boundary ``b`` closes the segment ending at time ``b``).  Entry
         ``[k, j]`` is the cost of span ``bounds[k]+1 .. bounds[j]`` for
-        ``k < j``; other entries are undefined.
+        ``k < j``; other entries are infinite.
         """
-        k = i - 1
-        sums = self.cum_y[k, bounds]
-        seg_sum = sums[None, :] - sums[:, None]
+        sums = self.cum_y[i - 1, bounds]
         seg_len = (bounds[None, :] - bounds[:, None]).astype(float)
         upper = seg_len > 0
-        seg_len_safe = np.where(upper, seg_len, 1.0)
-        seg_sum = np.where(upper, seg_sum, 0.0)
-        if self.kind == GAUSSIAN:
-            sqs = self.cum_y2[k, bounds]
-            seg_sq = sqs[None, :] - sqs[:, None]
-            out = _gauss_cost(seg_sum, seg_sq, seg_len_safe, self.sigma[k] ** 2)
-        else:
-            lbcs = self.cum_lbc[k, bounds]
-            seg_lbc = lbcs[None, :] - lbcs[:, None]
-            out = _negbin_cost(seg_sum, seg_lbc, seg_len_safe, self.r[k])
+        seg_sum = np.where(upper, sums[None, :] - sums[:, None], 0.0)
+        out = self.span_cost(seg_sum, np.where(upper, seg_len, 1.0), i - 1)
         return np.where(upper, out, np.inf)
-
-
-def _gauss_cost(total, sq, length, var):
-    return np.maximum(sq - total * total / length, 0.0) / var
-
-
-def _negbin_cost(total, lbc, length, r):
-    lr = length * r
-    scale = lr + total
-    return -2.0 * (lbc + xlogy(total, total / scale) + lr * np.log(lr / scale))
-
-
-def negbin_mle_p(r: float, length: int, total: float) -> float:
-    """Closed-form success-probability estimate for one segment."""
-    return length * r / (length * r + total)
 
 
 def estimate_sigma(y: np.ndarray) -> float:
@@ -167,14 +148,13 @@ def estimate_dispersion(y: np.ndarray, r_max: float = DEFAULT_R_MAX) -> float:
     """Method-of-moments dispersion estimate r = m^2 / (v - m).
 
     Uses the n-1 variance denominator.  Under-dispersed series (v <= m)
-    return ``r_max``, which makes the model effectively Poisson.
+    return ``r_max``, which makes the model effectively Poisson.  An
+    all-zero series is one of them; its span costs and gains are all 0.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise ValueError("need a 1-d series of length >= 2")
     _validate_counts(y)
-    if not np.any(y > 0):
-        raise NumericalError("degenerate count series: all zero")
     m = float(np.mean(y))
     v = float(np.var(y, ddof=1))
     if v <= m:
@@ -198,6 +178,12 @@ def _as_per_variate(value, d: int, name: str) -> np.ndarray:
     return arr
 
 
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    out = np.zeros((values.shape[0], values.shape[1] + 1))
+    np.cumsum(values, axis=1, out=out[:, 1:])
+    return out
+
+
 def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
     """Gaussian cost model; ``sigma`` may be a scalar, per-variate, or None
     to estimate each variate's scale from first differences."""
@@ -206,16 +192,15 @@ def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
         sigma_arr = np.array([estimate_sigma(row) for row in values])
     else:
         sigma_arr = _as_per_variate(sigma, matrix.d, "sigma")
-    zero = np.zeros((matrix.d, 1))
+    scaled = values - values.mean(axis=1, keepdims=True)
+    scaled /= sigma_arr[:, None]
     return CostModel(
         kind=GAUSSIAN,
         n=matrix.n,
         d=matrix.d,
         sigma=sigma_arr,
         r=None,
-        cum_y=np.hstack([zero, np.cumsum(values, axis=1)]),
-        cum_y2=np.hstack([zero, np.cumsum(values**2, axis=1)]),
-        cum_lbc=None,
+        cum_y=_prefix_sums(scaled),
     )
 
 
@@ -231,30 +216,11 @@ def negbin_model(matrix: TimeSeriesMatrix, r=None, r_max: float = DEFAULT_R_MAX)
         r_arr = np.array([estimate_dispersion(row, r_max=r_max) for row in values])
     else:
         r_arr = _as_per_variate(r, matrix.d, "r")
-    # log C(y + r - 1, y) per entry, prefix-summable because r is fixed.
-    lbc = gammaln(values + r_arr[:, None]) - gammaln(values + 1.0) - gammaln(r_arr)[:, None]
-    zero = np.zeros((matrix.d, 1))
     return CostModel(
         kind=NEGBIN,
         n=matrix.n,
         d=matrix.d,
         sigma=None,
         r=r_arr,
-        cum_y=np.hstack([zero, np.cumsum(values, axis=1)]),
-        cum_y2=None,
-        cum_lbc=np.hstack([zero, np.cumsum(lbc, axis=1)]),
+        cum_y=_prefix_sums(values),
     )
-
-
-def gaussian_cost(model: CostModel, i: int, s: int, t: int) -> float:
-    """Gaussian segment cost; errors when the model is not Gaussian."""
-    if model.kind != GAUSSIAN:
-        raise ValueError(f"model kind is {model.kind}, not {GAUSSIAN}")
-    return model.segment_cost(i, s, t)
-
-
-def negbin_cost(model: CostModel, i: int, s: int, t: int) -> float:
-    """Negative binomial segment cost; errors when the model is not negbin."""
-    if model.kind != NEGBIN:
-        raise ValueError(f"model kind is {model.kind}, not {NEGBIN}")
-    return model.segment_cost(i, s, t)

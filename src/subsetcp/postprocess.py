@@ -19,19 +19,13 @@ from .costs import CostModel
 
 
 def optimal_partition(
-    model: CostModel,
-    i: int,
-    taus: Sequence[int],
-    alpha: float,
-    prune: bool = False,
-) -> tuple[tuple[int, ...], float]:
+    model: CostModel, i: int, taus: Sequence[int], alpha: float
+) -> tuple[int, ...]:
     """Best subset of candidate splits for variate ``i``.
 
     Minimizes the total segment cost plus ``alpha`` per segment over all
-    subsets of ``taus`` (strictly increasing, within 1..n-1).  Returns the
-    selected tau values and the objective.  ``prune`` enables inequality
-    pruning of dominated predecessors; it never changes the optimum because
-    splitting a segment at a candidate cannot increase its cost.
+    subsets of ``taus`` (strictly increasing, within 1..n-1) and returns the
+    selected tau values.
     """
     taus = list(taus)
     if any(b <= a for a, b in zip(taus, taus[1:])):
@@ -40,45 +34,27 @@ def optimal_partition(
         raise ValueError(f"candidates {taus} outside 1..{model.n - 1}")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    q = len(taus)
-    if q == 0:
-        return (), model.segment_cost(i, 1, model.n) + alpha
-
     bounds = np.array([0, *taus, model.n])
     cost = model.boundary_cost_matrix(i, bounds)
 
-    # f[j]: best cost of 1..bounds[j] with alpha per segment, less one alpha
-    # so that the first segment is not charged twice.
-    f = np.empty(q + 2)
-    f[0] = -alpha
-    back = np.zeros(q + 2, dtype=int)
-    admissible = [0]
-    for j in range(1, q + 2):
-        ks = np.array(admissible) if prune else np.arange(j)
-        totals = f[ks] + cost[ks, j] + alpha
-        pick = int(np.argmin(totals))
-        f[j] = totals[pick]
-        back[j] = ks[pick]
-        if prune:
-            admissible = [k for k, tot in zip(ks, f[ks] + cost[ks, j]) if tot <= f[j]]
-            admissible.append(j)
+    # f[j]: best cost of 1..bounds[j]; back[j]: the boundary before it.
+    f = np.zeros(len(bounds))
+    back = np.zeros(len(bounds), dtype=int)
+    for j in range(1, len(bounds)):
+        totals = f[:j] + cost[:j, j]
+        back[j] = int(np.argmin(totals))
+        f[j] = totals[back[j]] + alpha
 
     selected: list[int] = []
-    j = q + 1
+    j = back[-1]
     while j > 0:
-        k = back[j]
-        if k > 0:
-            selected.append(taus[k - 1])
-        j = k
-    selected.reverse()
-    return tuple(selected), float(f[q + 1] + alpha)
+        selected.append(taus[j - 1])
+        j = back[j]
+    return tuple(reversed(selected))
 
 
 def postprocess(
-    model: CostModel,
-    result: SegmentationResult,
-    alpha: float | None = None,
-    prune: bool = False,
+    model: CostModel, result: SegmentationResult, alpha: float | None = None
 ) -> SegmentationResult:
     """Re-derive affected sets by per-variate partitioning; drop orphans.
 
@@ -92,8 +68,7 @@ def postprocess(
     taus = [det.tau for det in result.detections]
     membership: dict[int, set[int]] = {tau: set() for tau in taus}
     for i in range(1, model.d + 1):
-        selected, _ = optimal_partition(model, i, taus, alpha, prune=prune)
-        for tau in selected:
+        for tau in optimal_partition(model, i, taus, alpha):
             membership[tau].add(i)
     kept = [
         Detection(

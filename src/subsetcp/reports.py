@@ -11,12 +11,12 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Detection, InputDataError, SegmentationResult, TimeSeriesMatrix
+from .core import InputDataError, SegmentationResult, TimeSeriesMatrix
 from .penalties import PenaltyConfig
 
 
@@ -77,77 +77,6 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-# --- serialization of core types ------------------------------------------
-
-
-def matrix_to_dict(matrix: TimeSeriesMatrix) -> dict:
-    return {
-        "values": matrix.values.tolist(),
-        "variate_names": list(matrix.variate_names),
-        "time_labels": list(matrix.time_labels) if matrix.time_labels else None,
-    }
-
-
-def matrix_from_dict(data: dict) -> TimeSeriesMatrix:
-    return TimeSeriesMatrix(
-        values=np.array(data["values"], dtype=float),
-        variate_names=tuple(data["variate_names"]),
-        time_labels=tuple(data["time_labels"]) if data.get("time_labels") else None,
-    )
-
-
-def penalties_to_dict(penalties: PenaltyConfig) -> dict:
-    return asdict(penalties)
-
-
-def penalties_from_dict(data: dict) -> PenaltyConfig:
-    return PenaltyConfig(**data)
-
-
-def detection_to_dict(det: Detection) -> dict:
-    return {
-        "tau": det.tau,
-        "kind": det.kind,
-        "affected": sorted(det.affected),
-        "statistic": det.statistic,
-        "interval": list(det.interval),
-    }
-
-
-def detection_from_dict(data: dict) -> Detection:
-    return Detection(
-        tau=int(data["tau"]),
-        kind=data["kind"],
-        affected=frozenset(int(i) for i in data["affected"]),
-        statistic=float(data["statistic"]),
-        interval=(int(data["interval"][0]), int(data["interval"][1])),
-    )
-
-
-def result_to_dict(result: SegmentationResult) -> dict:
-    return {
-        "detections": [detection_to_dict(det) for det in result.detections],
-        "penalties": penalties_to_dict(result.penalties),
-        "model": result.model,
-        "n": result.n,
-        "d": result.d,
-        "seed": result.seed,
-        "n_intervals": result.n_intervals,
-    }
-
-
-def result_from_dict(data: dict) -> SegmentationResult:
-    return SegmentationResult(
-        detections=tuple(detection_from_dict(x) for x in data["detections"]),
-        penalties=penalties_from_dict(data["penalties"]),
-        model=data["model"],
-        n=int(data["n"]),
-        d=int(data["d"]),
-        seed=data["seed"],
-        n_intervals=int(data["n_intervals"]),
-    )
 
 
 # --- the analysis report ----------------------------------------------------

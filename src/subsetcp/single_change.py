@@ -45,21 +45,6 @@ class StatisticProfile:
         return np.maximum(self.s1, self.s2)
 
 
-def d_statistic(model: CostModel, i: int, l: int, u: int, t: int) -> float:
-    """Likelihood-ratio gain for variate ``i`` split at ``t`` within (l, u).
-
-    Non-negative by construction; tiny negative rounding residue is clipped.
-    """
-    if not l <= t < u:
-        raise ValueError(f"split {t} outside {l}..{u - 1}")
-    gain = (
-        model.segment_cost(i, l, u)
-        - model.segment_cost(i, l, t)
-        - model.segment_cost(i, t + 1, u)
-    )
-    return max(gain, 0.0)
-
-
 def statistic_profile(
     model: CostModel, penalties: PenaltyConfig, l: int, u: int
 ) -> StatisticProfile:

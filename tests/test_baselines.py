@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import baseline_statistic, cusum
 from subsetcp import (
     BaselineConfig,
     GAUSSIAN,
@@ -12,10 +13,8 @@ from subsetcp import (
     NullModel,
     RandomSource,
     aggregate_cusum,
-    baseline_statistic,
     baseline_wbs,
     calibrate_baseline_threshold,
-    cusum,
     cusum_matrix,
     default_binweight_alpha,
     draw_intervals,
@@ -29,11 +28,14 @@ from subsetcp import (
 def test_cusum_hand_values():
     matrix = make_matrix([[0.0, 0.0, 2.0, 2.0]])
     model = gaussian_model(matrix, sigma=1.0)
-    assert cusum(model, 1, 1, 4, 2) == pytest.approx(2.0)
+    assert cusum_matrix(model, 1, 4)[0, 1] == pytest.approx(2.0)
+    assert model.cusum(1, 4)[0, 1] == pytest.approx(2.0)
+    falling = gaussian_model(make_matrix([[2.0, 2.0, 0.0, 0.0]]), sigma=1.0)
+    assert falling.cusum(1, 4)[0, 1] == pytest.approx(-2.0)
     flat = gaussian_model(make_matrix([[3.0, 3.0, 3.0, 3.0]]), sigma=1.0)
-    assert cusum(flat, 1, 1, 4, 2) == 0.0
-    with pytest.raises(ValueError, match="split"):
-        cusum(model, 1, 1, 4, 4)
+    assert np.all(cusum_matrix(flat, 1, 4) == 0.0)
+    with pytest.raises(ValueError, match="interval"):
+        cusum_matrix(model, 4, 4)
 
 
 def test_cusum_squares_to_the_split_gain():
@@ -54,17 +56,20 @@ def test_cusum_matrix_row_matches_scalar_cusum():
     w = cusum_matrix(model, 3, 20)
     for t in range(3, 20):
         for i in (1, 2):
-            assert w[i - 1, t - 3] == pytest.approx(cusum(model, i, 3, 20, t))
+            expect = abs(cusum(y[i - 1], 3, 20, t, model.sigma[i - 1]))
+            assert w[i - 1, t - 3] == pytest.approx(expect)
 
 
 def test_aggregated_statistics_on_a_known_row():
     w = np.array([3.0, 1.0])
-    mean_cfg = BaselineConfig(method="mean", threshold=1.0)
-    assert baseline_statistic(mean_cfg, w) == pytest.approx(1.0)
-    max_cfg = BaselineConfig(method="max", threshold=4.0)
-    assert baseline_statistic(max_cfg, w) == pytest.approx(-1.0)
-    bin_cfg = BaselineConfig(method="binweight", threshold=1.0, binweight_alpha=2.0)
-    assert baseline_statistic(bin_cfg, w) == pytest.approx(2.0)
+    for method, threshold, alpha, want in (
+        ("mean", 1.0, None, 1.0),
+        ("max", 4.0, None, -1.0),
+        ("binweight", 1.0, 2.0, 2.0),
+    ):
+        assert baseline_statistic(method, threshold, w, alpha) == pytest.approx(want)
+        got = aggregate_cusum(method, w[:, None], alpha)[0] - threshold
+        assert got == pytest.approx(want)
 
 
 def test_default_binweight_alpha_formula():
@@ -98,7 +103,7 @@ def test_baselines_reject_count_models():
     counts = make_matrix([[1.0, 2.0, 3.0, 1.0, 2.0, 30.0, 28.0, 35.0]])
     model = negbin_model(counts)
     with pytest.raises(InputDataError, match="Gaussian"):
-        cusum(model, 1, 1, 8, 4)
+        model.cusum(1, 8)
     with pytest.raises(InputDataError, match="Gaussian"):
         cusum_matrix(model, 1, 8)
 

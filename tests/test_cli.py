@@ -136,6 +136,19 @@ def test_constant_gaussian_series_fails_numerically(tmp_path, capsys):
     assert "zero-variance residual" in capsys.readouterr().err
 
 
+def test_all_zero_count_variate_fails_in_the_residual_diagnostic(tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    rows = [f"{t},{t % 5},0" for t in range(1, 31)]
+    path.write_text("time,a,b\n" + "\n".join(rows) + "\n")
+    args = [
+        "detect", "--input", str(path), "--model", "negbin",
+        "--alpha", "2.0", "--beta", "20.0", "--K", "30.0",
+        "--intervals", "20", "--output", str(tmp_path / "r.json"),
+    ]
+    assert main(args) == 2
+    assert "zero-variance residual series for variates [2]" in capsys.readouterr().err
+
+
 def test_fractional_counts_are_rejected_for_the_count_model(tmp_path, capsys):
     path = tmp_path / "frac.csv"
     path.write_text("time,a\n1,1.5\n2,2.0\n3,3.0\n")

@@ -1,47 +1,55 @@
-"""Segment cost functions: closed forms, estimators, and prefix-sum identities."""
+"""Segment costs: closed forms, estimators, and prefix-sum kernels against
+the brute-force oracles in ``oracles.py``."""
 
-import math
+import itertools
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln
 
+from oracles import d_statistic, gaussian_cost, negbin_cost, negbin_loglik, negbin_mle_p
 from subsetcp import (
     InputDataError,
     NumericalError,
     estimate_dispersion,
     estimate_sigma,
-    gaussian_cost,
     gaussian_model,
     make_matrix,
-    negbin_cost,
-    negbin_mle_p,
     negbin_model,
 )
 
 
 def test_gaussian_cost_hand_values():
-    model = gaussian_model(make_matrix([[1, 1, 1]]), sigma=1.0)
-    assert gaussian_cost(model, 1, 1, 3) == pytest.approx(0.0, abs=1e-12)
-
+    assert gaussian_cost([1, 1, 1], 1, 3) == pytest.approx(0.0, abs=1e-12)
+    assert gaussian_cost([0, 2], 1, 2) == pytest.approx(2.0, abs=1e-12)
+    assert gaussian_cost([1, 2, 3, 4], 1, 4) == pytest.approx(5.0, abs=1e-12)
+    # the model's gains are the same costs less those of the two halves
     model = gaussian_model(make_matrix([[0, 2]]), sigma=1.0)
-    assert gaussian_cost(model, 1, 1, 2) == pytest.approx(2.0, abs=1e-12)
-
+    assert model.gain_matrix(1, 2)[0, 0] == pytest.approx(2.0, abs=1e-12)
     model = gaussian_model(make_matrix([[1, 2, 3, 4]]), sigma=1.0)
-    assert gaussian_cost(model, 1, 1, 4) == pytest.approx(5.0, abs=1e-12)
+    assert model.gain_matrix(1, 4)[0, 1] == pytest.approx(5.0 - 0.5 - 0.5, abs=1e-12)
 
 
 def test_cost_rejects_reversed_bounds():
     model = gaussian_model(make_matrix([[1, 2, 3]]), sigma=1.0)
     with pytest.raises(ValueError):
-        gaussian_cost(model, 1, 3, 2)
+        model.gain_matrix(3, 2)
+    with pytest.raises(ValueError):
+        model.cusum(3, 2)
+    with pytest.raises(ValueError):
+        negbin_model(make_matrix([[1, 2, 3]]), r=1.0).gain_matrix(3, 2)
 
 
 def test_length_one_segments_cost_zero():
-    model = gaussian_model(make_matrix([[4.0, -1.0, 2.5]]), sigma=2.0)
+    y = [4.0, -1.0, 2.5]
     for t in (1, 2, 3):
-        assert gaussian_cost(model, 1, t, t) == pytest.approx(0.0, abs=1e-12)
+        assert gaussian_cost(y, t, t, sigma=2.0) == pytest.approx(0.0, abs=1e-12)
+    # so the model's gain on a pair is the cost of the pair itself
+    model = gaussian_model(make_matrix([y]), sigma=2.0)
+    for t in (1, 2):
+        assert model.gain_matrix(t, t + 1)[0, 0] == pytest.approx(
+            gaussian_cost(y, t, t + 1, sigma=2.0), abs=1e-12
+        )
 
 
 def test_sigma_estimate_recovers_unit_noise():
@@ -75,6 +83,8 @@ def test_dispersion_hand_value():
 
 def test_dispersion_caps_underdispersed_series():
     assert estimate_dispersion(np.array([3.0, 3.0, 3.0, 4.0])) == 10_000.0
+    # an all-zero series is under-dispersed too (v = m = 0)
+    assert estimate_dispersion(np.zeros(10)) == 10_000.0
 
 
 def test_dispersion_recovers_generating_parameter():
@@ -89,13 +99,15 @@ def test_dispersion_rejects_bad_counts():
         estimate_dispersion(np.array([0.0, 1.5, 2.0]))
     with pytest.raises(InputDataError):
         estimate_dispersion(np.array([0.0, -1.0, 2.0]))
-    with pytest.raises(NumericalError, match="degenerate"):
-        estimate_dispersion(np.zeros(10))
 
 
 def test_negbin_cost_zero_segment_is_free():
-    model = negbin_model(make_matrix([[0, 0, 0, 1]]), r=2.0)
-    assert negbin_cost(model, 1, 1, 3) == pytest.approx(0.0, abs=1e-12)
+    y = [0, 0, 0, 1]
+    assert negbin_cost(y, 1, 3, r=2.0) == pytest.approx(0.0, abs=1e-12)
+    model = negbin_model(make_matrix([y]), r=2.0)
+    assert model.boundary_cost_matrix(1, np.array([0, 3, 4]))[0, 1] == pytest.approx(
+        0.0, abs=1e-12
+    )
 
 
 def test_negbin_mle_probability_plugin():
@@ -103,9 +115,14 @@ def test_negbin_mle_probability_plugin():
     assert negbin_mle_p(2.0, 3, 6.0) == pytest.approx(0.5)
 
 
-def _negbin_loglik(y: np.ndarray, r: float, p: float) -> float:
-    coef = gammaln(y + r) - gammaln(r) - gammaln(y + 1)
-    return float(np.sum(coef + y * math.log(1 - p) + r * math.log(p)))
+def _direct_negbin_cost(seg: np.ndarray, r: float) -> float:
+    # p may approach 1 (an all-zero segment costs 0 there).
+    return minimize_scalar(
+        lambda p: -2.0 * negbin_loglik(seg, r, p),
+        bounds=(1e-9, 1 - 1e-15),
+        method="bounded",
+        options={"xatol": 1e-12},
+    ).fun
 
 
 def test_negbin_cost_matches_direct_likelihood_maximization():
@@ -115,34 +132,34 @@ def test_negbin_cost_matches_direct_likelihood_maximization():
         if y.sum() == 0:
             continue
         r = float(rng.uniform(1.0, 8.0))
-        model = negbin_model(make_matrix([y]), r=r)
-        direct = minimize_scalar(
-            lambda p: -2.0 * _negbin_loglik(y, r, p),
-            bounds=(1e-9, 1 - 1e-9),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        assert negbin_cost(model, 1, 1, 12) == pytest.approx(direct.fun, abs=1e-8)
+        whole = _direct_negbin_cost(y, r)
+        assert negbin_cost(y, 1, 12, r) == pytest.approx(whole, abs=1e-8)
+        gains = negbin_model(make_matrix([y]), r=r).gain_matrix(1, 12)[0]
+        for t in range(1, 12):
+            direct = whole - _direct_negbin_cost(y[:t], r) - _direct_negbin_cost(y[t:], r)
+            assert gains[t - 1] == pytest.approx(max(direct, 0.0), abs=1e-8)
 
 
 def test_negbin_cost_never_beaten_by_nearby_probability():
     rng = np.random.default_rng(37)
     y = rng.negative_binomial(4, 0.5, size=20).astype(float)
     r = 4.0
-    model = negbin_model(make_matrix([y]), r=r)
     p_hat = negbin_mle_p(r, 20, float(y.sum()))
-    best = negbin_cost(model, 1, 1, 20)
+    best = negbin_cost(y, 1, 20, r)
     for eps in (-1e-3, 1e-3):
-        assert best <= -2.0 * _negbin_loglik(y, r, p_hat + eps) + 1e-12
+        assert best <= -2.0 * negbin_loglik(y, r, p_hat + eps) + 1e-12
 
 
 def test_gaussian_cost_split_never_increases():
     rng = np.random.default_rng(41)
     y = rng.standard_normal(40)
-    model = gaussian_model(make_matrix([y]), sigma=1.0)
-    whole = gaussian_cost(model, 1, 1, 40)
+    whole = gaussian_cost(y, 1, 40)
+    gains = gaussian_model(make_matrix([y]), sigma=1.0).gain_matrix(1, 40)[0]
     for t in range(1, 40):
-        assert whole >= gaussian_cost(model, 1, 1, t) + gaussian_cost(model, 1, t + 1, 40) - 1e-9
+        split = gaussian_cost(y, 1, t) + gaussian_cost(y, t + 1, 40)
+        assert whole >= split - 1e-9
+        assert gains[t - 1] == pytest.approx(whole - split, abs=1e-9)
+    assert np.all(gains >= 0.0)
 
 
 def test_gaussian_cost_translation_invariant():
@@ -151,32 +168,34 @@ def test_gaussian_cost_translation_invariant():
     a = gaussian_model(make_matrix([y]), sigma=1.0)
     b = gaussian_model(make_matrix([y + 117.0]), sigma=1.0)
     for s, t in ((1, 30), (5, 12), (29, 30)):
-        assert gaussian_cost(a, 1, s, t) == pytest.approx(
-            gaussian_cost(b, 1, s, t), rel=1e-9, abs=1e-9
+        assert gaussian_cost(y, s, t) == pytest.approx(
+            gaussian_cost(y + 117.0, s, t), rel=1e-9, abs=1e-9
         )
-
-
-def _direct_gauss(y: np.ndarray, s: int, t: int, sigma: float) -> float:
-    seg = y[s - 1 : t]
-    return float(np.sum((seg - seg.mean()) ** 2) / sigma**2)
+        assert np.allclose(a.gain_matrix(s, t), b.gain_matrix(s, t), rtol=1e-9, atol=1e-9)
 
 
 def test_prefix_sums_match_direct_summation_everywhere():
     rng = np.random.default_rng(47)
     y = rng.standard_normal(25) * 2.0 + 1.0
-    model = gaussian_model(make_matrix([y]), sigma=1.3)
-    for s in range(1, 26):
-        for t in range(s, 26):
-            direct = _direct_gauss(y, s, t, 1.3)
-            assert gaussian_cost(model, 1, s, t) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+    counts = rng.negative_binomial(3, 0.3, size=25).astype(float)
+    cases = (
+        (gaussian_model(make_matrix([y, -y]), sigma=[1.0, 1.3]), y, {"sigma": 1.3}),
+        (negbin_model(make_matrix([counts, counts]), r=[1.5, 3.0]), counts, {"r": 3.0}),
+    )
+    # the last variate must use its own parameter
+    for model, series, param in cases:
+        for l in range(1, 25):
+            for u in range(l + 1, 26):
+                gains = model.gain_matrix(l, u)[-1]
+                for t in range(l, u):
+                    direct = d_statistic(series, l, u, t, **param)
+                    assert gains[t - l] == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
 def test_model_builders_validate_inputs():
     counts = make_matrix([[0, 1, 2, 1]])
-    with pytest.raises(ValueError, match="gaussian"):
-        negbin_cost(gaussian_model(counts, sigma=1.0), 1, 1, 2)
-    with pytest.raises(ValueError, match="negbin"):
-        gaussian_cost(negbin_model(counts), 1, 1, 2)
+    with pytest.raises(InputDataError, match="Gaussian"):
+        negbin_model(counts).cusum(1, 2)
     with pytest.raises(InputDataError):
         negbin_model(make_matrix([[0.5, 1.0, 2.0]]))
     with pytest.raises(InputDataError, match="positive"):
@@ -200,15 +219,21 @@ def test_negbin_model_estimates_dispersion_once_per_variate():
 
 
 def test_boundary_costs_match_segment_costs():
+    # Model costs omit terms that add over time points, so compare the cost
+    # of each span against those of the two pieces an inner boundary makes.
     rng = np.random.default_rng(61)
     y = rng.standard_normal(30)
-    model = gaussian_model(make_matrix([y]), sigma=1.0)
+    counts = rng.negative_binomial(3, 0.3, size=30).astype(float)
+    cases = (
+        (gaussian_model(make_matrix([y]), sigma=1.0), 1, y, {"sigma": 1.0}),
+        # variate 2 must use its own dispersion, not variate 1's
+        (negbin_model(make_matrix([counts, counts]), r=[1.5, 3.0]), 2, counts, {"r": 3.0}),
+    )
     bounds = np.array([0, 4, 11, 19, 30])
-    table = model.boundary_cost_matrix(1, bounds)
-    for a in range(len(bounds)):
-        for b in range(len(bounds)):
-            if a < b:
-                expect = gaussian_cost(model, 1, int(bounds[a]) + 1, int(bounds[b]))
-                assert table[a, b] == pytest.approx(expect, abs=1e-9)
-            else:
-                assert table[a, b] == np.inf
+    for model, i, series, param in cases:
+        table = model.boundary_cost_matrix(i, bounds)
+        for a, k, b in itertools.combinations(range(len(bounds)), 3):
+            direct = d_statistic(series, bounds[a] + 1, bounds[b], bounds[k], **param)
+            got = table[a, b] - table[a, k] - table[k, b]
+            assert got == pytest.approx(direct, abs=1e-9)
+        assert np.all(table[np.tril_indices(len(bounds))] == np.inf)

@@ -122,6 +122,23 @@ def test_calibration_handles_count_nulls():
     assert pen.K == pytest.approx(dense_cap(pen.beta, 3), abs=1e-12)
 
 
+def test_calibration_survives_all_zero_count_variates():
+    # Neg-Bin(0.5, 0.95) draws 0 with probability 0.95**0.5, so a few of the
+    # 2400 simulated variates per run are zero at all 300 time points.
+    null = NullModel(kind=NEGBIN, r=0.5, p=0.95)
+    for seed in (1, 2):
+        src = RandomSource(seed)
+        pen = calibrate_beta(300, 12, null, src, reps=200, intervals=0)
+        assert pen.beta > 0
+        zero_rows = 0
+        for rep in range(200):
+            model = null.sample_model(300, 12, src.child(rep, 0))
+            zero = model.cum_y[:, -1] == 0
+            zero_rows += int(zero.sum())
+            assert np.all(model.gain_matrix(1, 300)[zero] == 0.0)
+        assert zero_rows > 0
+
+
 def test_scan_statistic_monotone_in_shift_size():
     rng = np.random.default_rng(113)
     noise = rng.standard_normal((4, 100))

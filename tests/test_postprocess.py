@@ -1,16 +1,16 @@
 """Per-variate candidate assignment and pruning of orphan detections."""
 
-import itertools
-
 import numpy as np
 import pytest
 
+from oracles import best_partition, gaussian_cost
 from subsetcp import (
     Detection,
     PenaltyConfig,
     SegmentationResult,
     gaussian_model,
     make_matrix,
+    negbin_model,
     optimal_partition,
     postprocess,
 )
@@ -23,22 +23,22 @@ def _pen(alpha: float) -> PenaltyConfig:
 def test_partition_keeps_a_clear_split():
     matrix = make_matrix([[0.0, 0.0, 0.0, 5.0, 5.0, 5.0]])
     model = gaussian_model(matrix, sigma=1.0)
-    assert optimal_partition(model, 1, (3,), 4.0) == ((3,), 8.0)
+    assert optimal_partition(model, 1, (3,), 4.0) == (3,)
 
 
 def test_partition_with_no_candidates_charges_one_segment():
     matrix = make_matrix([[0.0, 0.0, 0.0, 5.0, 5.0, 5.0]])
     model = gaussian_model(matrix, sigma=1.0)
-    assert optimal_partition(model, 1, (), 4.0) == ((), 41.5)
-    assert model.segment_cost(1, 1, 6) == pytest.approx(37.5)
+    assert optimal_partition(model, 1, (), 4.0) == ()
+    assert gaussian_cost(matrix.values[0], 1, 6) == pytest.approx(37.5)
 
 
 def test_partition_drops_an_expensive_split():
     matrix = make_matrix([[0.0, 0.0, 0.0, 5.0, 5.0, 5.0]])
     model = gaussian_model(matrix, sigma=1.0)
-    selected, objective = optimal_partition(model, 1, (3,), 41.0)
-    assert selected == ()
-    assert objective == pytest.approx(37.5 + 41.0)
+    # keeping the split costs 0 + 0 + 2 * 41, more than 37.5 + 41
+    assert optimal_partition(model, 1, (3,), 41.0) == ()
+    assert optimal_partition(model, 1, (3,), 36.0) == (3,)
 
 
 def test_partition_rejects_bad_candidates():
@@ -52,20 +52,6 @@ def test_partition_rejects_bad_candidates():
         optimal_partition(model, 1, (6,), 1.0)
     with pytest.raises(ValueError, match="alpha"):
         optimal_partition(model, 1, (2,), -1.0)
-
-
-def _brute_partition(model, i, taus, alpha):
-    best = (float("inf"), ())
-    for k in range(len(taus) + 1):
-        for keep in itertools.combinations(taus, k):
-            bounds = [0, *keep, model.n]
-            total = sum(
-                model.segment_cost(i, a + 1, b) + alpha
-                for a, b in zip(bounds, bounds[1:])
-            )
-            if total < best[0] - 1e-12:
-                best = (total, keep)
-    return best[1], best[0]
 
 
 def test_partition_matches_exhaustive_subset_search():
@@ -82,26 +68,19 @@ def test_partition_matches_exhaustive_subset_search():
         taus = sorted(rng.choice(np.arange(1, n), size=q, replace=False).tolist())
         alpha = float(rng.uniform(0.5, 6.0))
         for i in (1, 2):
-            got = optimal_partition(model, i, taus, alpha)
-            want = _brute_partition(model, i, taus, alpha)
-            assert got[0] == want[0]
-            assert got[1] == pytest.approx(want[1], abs=1e-9)
+            want = best_partition(y[i - 1], taus, alpha, sigma=1.0)
+            assert optimal_partition(model, i, taus, alpha) == want
 
-
-def test_pruned_search_matches_full_search():
     rng = np.random.default_rng(402)
-    for _ in range(20):
-        n = int(rng.integers(20, 60))
-        y = rng.standard_normal((1, n))
-        y[0, n // 2 :] += rng.normal(0, 3)
-        matrix = make_matrix(y)
-        model = gaussian_model(matrix, sigma=1.0)
-        taus = sorted(rng.choice(np.arange(1, n), size=8, replace=False).tolist())
-        alpha = float(rng.uniform(0.5, 8.0))
-        full = optimal_partition(model, 1, taus, alpha, prune=False)
-        fast = optimal_partition(model, 1, taus, alpha, prune=True)
-        assert fast[0] == full[0]
-        assert fast[1] == pytest.approx(full[1], abs=1e-9)
+    for _ in range(25):
+        n = int(rng.integers(12, 30))
+        counts = rng.negative_binomial(4, 0.4, size=(1, n)).astype(float)
+        counts[0, n // 2 :] *= 3
+        model = negbin_model(make_matrix(counts), r=4.0)
+        taus = sorted(rng.choice(np.arange(1, n), size=4, replace=False).tolist())
+        alpha = float(rng.uniform(0.5, 6.0))
+        want = best_partition(counts[0], taus, alpha, r=4.0)
+        assert optimal_partition(model, 1, taus, alpha) == want
 
 
 def test_postprocess_reassigns_variates_to_their_own_changes():

@@ -1,7 +1,5 @@
 """CSV input, JSON report round-trips, and model-fit diagnostics."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -29,13 +27,7 @@ from subsetcp import (
     write_report,
 )
 from subsetcp.diagnostics import variate_segments
-from subsetcp.reports import (
-    atomic_write_text,
-    matrix_from_dict,
-    matrix_to_dict,
-    result_from_dict,
-    result_to_dict,
-)
+from subsetcp.reports import atomic_write_text
 
 
 def _pen() -> PenaltyConfig:
@@ -110,40 +102,6 @@ def test_csv_rejects_empty_and_headerless_files(tmp_path):
         read_csv(narrow)
     with pytest.raises(InputDataError, match="cannot open"):
         read_csv(tmp_path / "missing.csv")
-
-
-# --- serialization -----------------------------------------------------------
-
-
-def test_matrix_dict_round_trip():
-    matrix = make_matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    again = matrix_from_dict(matrix_to_dict(matrix))
-    assert np.array_equal(again.values, matrix.values)
-    assert again.variate_names == matrix.variate_names
-    assert again.time_labels is None
-
-
-def test_result_dict_round_trip_is_json_safe():
-    result = SegmentationResult(
-        detections=(
-            Detection(
-                tau=40,
-                kind="sparse",
-                affected=frozenset({2, 1}),
-                statistic=12.25,
-                interval=(1, 100),
-            ),
-        ),
-        penalties=_pen(),
-        model="gaussian_known_var",
-        n=100,
-        d=3,
-        seed=7,
-        n_intervals=50,
-    )
-    payload = json.loads(json.dumps(result_to_dict(result)))
-    assert result_from_dict(payload) == result
-    assert payload["detections"][0]["affected"] == [1, 2]
 
 
 # --- analysis report ---------------------------------------------------------

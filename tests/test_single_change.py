@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cusum, d_statistic
 from subsetcp import (
     KIND_DENSE,
     KIND_SPARSE,
     PenaltyConfig,
-    d_statistic,
     gaussian_model,
     make_matrix,
     scan_interval,
@@ -20,21 +20,23 @@ from subsetcp import (
 
 def test_split_gain_on_constant_series_is_zero():
     model = gaussian_model(make_matrix([[0, 0, 0, 0]]), sigma=1.0)
+    assert np.all(model.gain_matrix(1, 4) == 0.0)
     for t in (1, 2, 3):
-        assert d_statistic(model, 1, 1, 4, t) == pytest.approx(0.0, abs=1e-12)
+        assert d_statistic([0, 0, 0, 0], 1, 4, t, sigma=1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_split_gain_hand_value():
     model = gaussian_model(make_matrix([[0, 0, 2, 2]]), sigma=1.0)
-    assert d_statistic(model, 1, 1, 4, 2) == pytest.approx(4.0, abs=1e-12)
+    assert model.gain_matrix(1, 4)[0, 1] == pytest.approx(4.0, abs=1e-12)
+    assert d_statistic([0, 0, 2, 2], 1, 4, 2, sigma=1.0) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_split_gain_rejects_out_of_range_split():
+    # a split t needs l <= t < u, so intervals with no split are rejected
     model = gaussian_model(make_matrix([[0, 0, 2, 2]]), sigma=1.0)
-    with pytest.raises(ValueError):
-        d_statistic(model, 1, 1, 4, 4)
-    with pytest.raises(ValueError):
-        d_statistic(model, 1, 2, 4, 1)
+    for l, u in ((4, 4), (3, 2), (0, 4), (2, 5)):
+        with pytest.raises(ValueError):
+            model.gain_matrix(l, u)
 
 
 def test_split_gain_equals_squared_cusum():
@@ -47,10 +49,9 @@ def test_split_gain_equals_squared_cusum():
         l = int(rng.integers(1, n - 2))
         u = int(rng.integers(l + 2, n + 1))
         t = int(rng.integers(l, u))
-        left = y[l - 1 : t]
-        right = y[t:u]
-        w = math.sqrt(len(left) * len(right) / (u - l + 1)) * abs(right.mean() - left.mean()) / sigma
-        assert d_statistic(model, 1, l, u, t) == pytest.approx(w * w, abs=1e-9)
+        w = cusum(y, l, u, t, sigma)
+        assert model.gain_matrix(l, u)[0, t - l] == pytest.approx(w * w, abs=1e-9)
+        assert d_statistic(y, l, u, t, sigma=sigma) == pytest.approx(w * w, abs=1e-9)
 
 
 def test_scan_sparse_branch_hand_example():
