@@ -59,9 +59,10 @@ def pearson_residual_correlations(
 ) -> tuple[np.ndarray, float]:
     """Residual correlation matrix and its mean off-diagonal entry."""
     residuals = pearson_residuals(matrix, model, result)
-    if np.any(np.std(residuals, axis=1) == 0.0):
-        flat = [int(i) + 1 for i in np.flatnonzero(np.std(residuals, axis=1) == 0.0)]
-        raise NumericalError(f"zero-variance residual series for variates {flat}")
+    flat = np.std(residuals, axis=1) == 0.0
+    if np.any(flat):
+        names = [matrix.variate_names[i] for i in np.flatnonzero(flat)]
+        raise NumericalError(f"zero-variance residual series for variates {names}")
     corr = np.corrcoef(residuals)
     corr = np.atleast_2d(corr)
     d = corr.shape[0]

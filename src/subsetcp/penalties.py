@@ -16,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import InputDataError, NumericalError, RandomSource, TimeSeriesMatrix
+from .core import InputDataError, RandomSource, TimeSeriesMatrix
 from .costs import GAUSSIAN, NEGBIN, CostModel, gaussian_model, negbin_model
-
-_BETA_BRACKET_CAP = 1e6
-_BISECT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -119,46 +116,42 @@ class NullModel:
         return negbin_model(matrix)
 
 
-def _interval_maxima(model: CostModel, alpha: float, pairs) -> tuple[float, float]:
-    """Largest thresholded-sum and raw-sum statistics over intervals and splits."""
-    sparse_max = -math.inf
-    dense_max = -math.inf
-    for l, u in pairs:
-        if u - l <= 1:
-            continue
-        gains = model.gain_matrix(l, u)
-        sparse_max = max(sparse_max, float(np.maximum(gains - alpha, 0.0).sum(axis=0).max()))
-        dense_max = max(dense_max, float(gains.sum(axis=0).max()))
-    return sparse_max, dense_max
+def _null_maxima(
+    n: int, d: int, null: NullModel, rng: RandomSource, reps: int, intervals: int, statistic
+) -> np.ndarray:
+    """Per-replicate maxima of ``statistic(model, l, u)`` over null datasets.
 
-
-def _minimal_quiet_beta(sparse_max: float, dense_max: float, d: int) -> float:
-    """Smallest beta (to 1e-3) at which neither branch fires on this dataset.
-
-    Both branches are monotone in beta (K follows beta through
-    :func:`dense_cap`), so bisection applies.
+    Replicate ``rep`` simulates its dataset from stream (rep, 0) and draws its
+    own interval set from (rep, 1) (``intervals`` = 0 means a plain scan of
+    (1, n)); intervals with a single split are skipped, as in the detector.
+    A statistic returning k values gives shape (reps, k), each maximised
+    on its own.
     """
+    from .wbs import draw_intervals
 
-    def quiet(beta: float) -> bool:
-        return sparse_max <= beta and dense_max <= dense_cap(beta, d)
+    if reps < 20:
+        raise InputDataError(f"calibration needs at least 20 replicates, got {reps}")
+    maxima = []
+    for rep in range(reps):
+        model = null.sample_model(n, d, rng.child(rep, 0))
+        pairs = draw_intervals(n, intervals, rng.child(rep, 1)).pairs
+        maxima.append(np.max([statistic(model, l, u) for l, u in pairs if u - l > 1], axis=0))
+    return np.array(maxima)
 
-    if quiet(0.0):
-        return 0.0
-    hi = 1.0
-    while not quiet(hi):
-        hi *= 2.0
-        if hi > _BETA_BRACKET_CAP:
-            raise NumericalError(
-                f"calibration bisection bracket exhausted at {_BETA_BRACKET_CAP:g}"
-            )
-    lo = hi / 2.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if quiet(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+
+def _minimal_quiet_beta(sparse_max, dense_max, d: int):
+    """Smallest beta at which neither branch fires; elementwise on arrays.
+
+    Quiet means sparse_max <= beta and dense_max <= dense_cap(beta, d).  In
+    x = sqrt(beta) the cap is x**2 + sqrt(2d)*x + d, so with e = dense_max - d
+    the dense branch is quiet once x reaches the positive root
+    (sqrt(2d + 4e) - sqrt(2d)) / 2, and at every beta when e <= 0.  The root
+    is computed as 2e / (sqrt(2d + 4e) + sqrt(2d)), which does not cancel
+    when e is small.
+    """
+    excess = np.maximum(dense_max - d, 0.0)
+    x = 2.0 * excess / (np.sqrt(2.0 * d + 4.0 * excess) + math.sqrt(2.0 * d))
+    return np.maximum(sparse_max, x * x)
 
 
 def calibrate_beta(
@@ -173,26 +166,23 @@ def calibrate_beta(
     """Monte Carlo beta calibration at a target per-dataset false-alarm rate.
 
     Each replicate simulates a null dataset, draws its own interval set
-    (``intervals`` = 0 means a plain scan of (1, n)), and finds the minimal
-    quiet beta by bisection.  The returned beta is the (1 - target_fp)
-    empirical quantile of those minima; alpha stays at 2 ln d and K is
-    slaved to beta.
+    (``intervals`` = 0 means a plain scan of (1, n)), and finds, in closed
+    form, the minimal beta at which neither branch fires on it.  The
+    returned beta is the (1 - target_fp) empirical quantile of those minima;
+    alpha stays at 2 ln d and K is slaved to beta.
     """
-    from .wbs import draw_intervals
-
     if d < 2:
         raise InputDataError("calibration needs d >= 2")
     if not 0.0 < target_fp < 1.0:
         raise InputDataError(f"target_fp must be in (0, 1), got {target_fp}")
-    if reps < 20:
-        raise InputDataError(f"calibration needs at least 20 replicates, got {reps}")
     alpha = 2.0 * math.log(d)
-    minima = np.empty(reps)
-    for rep in range(reps):
-        model = null.sample_model(n, d, rng.child(rep, 0))
-        interval_set = draw_intervals(n, intervals, rng.child(rep, 1))
-        sparse_max, dense_max = _interval_maxima(model, alpha, interval_set.pairs)
-        minima[rep] = _minimal_quiet_beta(sparse_max, dense_max, d)
+
+    def branch_maxima(model: CostModel, l: int, u: int) -> tuple[float, float]:
+        gains = model.gain_matrix(l, u)
+        return np.maximum(gains - alpha, 0.0).sum(axis=0).max(), gains.sum(axis=0).max()
+
+    sparse_max, dense_max = _null_maxima(n, d, null, rng, reps, intervals, branch_maxima).T
+    minima = _minimal_quiet_beta(sparse_max, dense_max, d)
     beta = float(np.quantile(minima, 1.0 - target_fp, method="higher"))
     return PenaltyConfig(
         alpha=alpha,
@@ -221,21 +211,12 @@ def calibrate_baseline_threshold(
     aggregated statistic across intervals and splits.
     """
     from .baselines import aggregate_cusum, cusum_matrix
-    from .wbs import draw_intervals
 
     if null.kind != GAUSSIAN:
         raise InputDataError("baseline calibration is defined for the Gaussian model only")
-    if reps < 20:
-        raise InputDataError(f"calibration needs at least 20 replicates, got {reps}")
-    maxima = np.empty(reps)
-    for rep in range(reps):
-        model = null.sample_model(n, d, rng.child(rep, 0))
-        interval_set = draw_intervals(n, intervals, rng.child(rep, 1))
-        best = -math.inf
-        for l, u in interval_set.pairs:
-            if u - l <= 1:
-                continue
-            w = cusum_matrix(model, l, u)
-            best = max(best, float(aggregate_cusum(method, w, binweight_alpha).max()))
-        maxima[rep] = best
+
+    def aggregated_max(model: CostModel, l: int, u: int) -> float:
+        return aggregate_cusum(method, cusum_matrix(model, l, u), binweight_alpha).max()
+
+    maxima = _null_maxima(n, d, null, rng, reps, intervals, aggregated_max)
     return float(np.quantile(maxima, 1.0 - target_fp, method="higher"))

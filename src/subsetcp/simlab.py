@@ -25,12 +25,7 @@ from .core import (
     TimeSeriesMatrix,
 )
 from .costs import GAUSSIAN, NEGBIN, CostModel, gaussian_model, negbin_model
-from .penalties import (
-    NullModel,
-    PenaltyConfig,
-    calibrate_baseline_threshold,
-    calibrate_beta,
-)
+from .penalties import NullModel, calibrate_baseline_threshold, calibrate_beta
 from .postprocess import postprocess
 from .wbs import draw_intervals, subset_wbs
 
@@ -349,7 +344,7 @@ def evaluate(
 class DetectorConfig:
     """How to run detection inside an experiment.
 
-    ``method`` is "subset" or a baseline name; thresholds left at None are
+    ``method`` is "subset" or a baseline name; its penalties or threshold are
     calibrated once per experiment on the scenario's null model.
     """
 
@@ -357,9 +352,6 @@ class DetectorConfig:
     intervals: int = 1000
     target_fp: float = 0.05
     calib_reps: int = 200
-    penalties: PenaltyConfig | None = None
-    threshold: float | None = None
-    binweight_alpha: float | None = None
     run_postprocess: bool = True
 
 
@@ -381,34 +373,25 @@ def run_experiment(
     if reps < 1:
         raise InputDataError("need at least one replicate")
 
-    bw_alpha = detector.binweight_alpha
-    if detector.method == "binweight" and bw_alpha is None:
-        bw_alpha = default_binweight_alpha(spec.n)
-
-    penalties = detector.penalties
-    threshold = detector.threshold
+    null = null_model(spec)
+    calibration = dict(
+        target_fp=detector.target_fp, reps=detector.calib_reps, intervals=detector.intervals
+    )
     if detector.method == "subset":
-        if penalties is None:
-            penalties = calibrate_beta(
-                spec.n,
-                spec.d,
-                null_model(spec),
-                rng.child(0),
-                target_fp=detector.target_fp,
-                reps=detector.calib_reps,
-                intervals=detector.intervals,
-            )
-    elif threshold is None:
+        penalties = calibrate_beta(spec.n, spec.d, null, rng.child(0), **calibration)
+    else:
+        bw_alpha = default_binweight_alpha(spec.n) if detector.method == "binweight" else None
         threshold = calibrate_baseline_threshold(
             spec.n,
             spec.d,
             detector.method,
-            null_model(spec),
+            null,
             rng.child(0),
-            target_fp=detector.target_fp,
-            reps=detector.calib_reps,
-            intervals=detector.intervals,
             binweight_alpha=bw_alpha,
+            **calibration,
+        )
+        config = BaselineConfig(
+            method=detector.method, threshold=threshold, binweight_alpha=bw_alpha
         )
 
     rows: list[ReplicateRow] = []
@@ -428,9 +411,6 @@ def run_experiment(
             if detector.run_postprocess:
                 result = postprocess(model, result)
         else:
-            config = BaselineConfig(
-                method=detector.method, threshold=threshold, binweight_alpha=bw_alpha
-            )
             result = baseline_wbs(model, config, interval_set, seed=rep)
         metrics = evaluate(result, truth, spec.n, spec.d, surge=spec.surge)
         missed_total += metrics.avg_missed

@@ -86,6 +86,28 @@ def baseline_statistic(method: str, threshold: float, w_row, binweight_alpha=Non
     return value - threshold
 
 
+def minimal_quiet_beta(sparse_max: float, dense_max: float, d: int, tol: float = 1e-3) -> float:
+    """Smallest beta at which neither the sparse branch (sparse_max <= beta)
+    nor the dense one (dense_max <= beta + d + sqrt(2 beta d)) fires, found by
+    doubling then bisection; returns the quiet end, at most ``tol`` above."""
+
+    def quiet(beta: float) -> bool:
+        return sparse_max <= beta and dense_max <= beta + d + math.sqrt(2.0 * beta * d)
+
+    if quiet(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while not quiet(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if quiet(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def best_partition(y, taus, alpha: float, sigma=None, r=None) -> tuple[int, ...]:
     """Subset of ``taus`` minimizing total cost plus ``alpha`` per segment,
     by enumeration; among equal objectives the first subset found wins."""

@@ -146,7 +146,7 @@ def test_all_zero_count_variate_fails_in_the_residual_diagnostic(tmp_path, capsy
         "--intervals", "20", "--output", str(tmp_path / "r.json"),
     ]
     assert main(args) == 2
-    assert "zero-variance residual series for variates [2]" in capsys.readouterr().err
+    assert "zero-variance residual series for variates ['b']" in capsys.readouterr().err
 
 
 def test_fractional_counts_are_rejected_for_the_count_model(tmp_path, capsys):

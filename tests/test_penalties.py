@@ -1,18 +1,21 @@
 """Penalty construction: defaults, the closed-form sparse threshold, calibration."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
+from oracles import minimal_quiet_beta
 from subsetcp import (
     GAUSSIAN,
     NEGBIN,
     InputDataError,
     NullModel,
-    NumericalError,
     PenaltyConfig,
     RandomSource,
     calibrate_beta,
@@ -155,17 +158,50 @@ def test_scan_statistic_monotone_in_shift_size():
         previous = current
 
 
-def test_quiet_threshold_bisection_matches_cached_maxima():
-    beta = _minimal_quiet_beta(sparse_max=7.0, dense_max=30.0, d=6)
-    assert beta >= 7.0 - 1e-3
-    assert dense_cap(beta, 6) >= 30.0 - 1e-3
-    slack = _minimal_quiet_beta(sparse_max=7.0 - 1e-2, dense_max=30.0, d=6)
-    assert slack <= beta + 1e-3
+def test_minimal_quiet_beta_hand_values():
+    # (sparse_max, dense_max, d): dense_cap(12, 6) = 12 + 6 + sqrt(144) = 30,
+    # so a dense maximum of 30 binds beta at 12
+    assert _minimal_quiet_beta(7.0, 30.0, 6) == pytest.approx(12.0, rel=1e-12)
+    assert _minimal_quiet_beta(6.99, 30.0, 6) == pytest.approx(12.0, rel=1e-12)
+    assert _minimal_quiet_beta(20.0, 30.0, 6) == 20.0
+    assert _minimal_quiet_beta(-1.0, 6.0, 6) == 0.0
+    np.testing.assert_allclose(
+        _minimal_quiet_beta(np.array([7.0, 20.0, -1.0]), np.array([30.0, 30.0, 6.0]), 6),
+        [12.0, 20.0, 0.0],
+        rtol=1e-12,
+    )
 
 
-def test_quiet_threshold_bisection_reports_exhausted_bracket():
-    with pytest.raises(NumericalError, match="bracket"):
-        _minimal_quiet_beta(sparse_max=2e6, dense_max=0.0, d=5)
+def _exactly_quiet(beta: float, sparse_max: float, dense_max: float, d: int) -> bool:
+    """Neither branch fires at ``beta``, in exact rational arithmetic:
+    dense_max <= beta + d + sqrt(2 beta d) with the square root squared away."""
+    b = Fraction(beta)
+    excess = Fraction(dense_max) - b - d
+    return Fraction(sparse_max) <= b and (excess <= 0 or excess * excess <= 2 * b * d)
+
+
+MAXIMA = st.floats(-10.0, 1e5, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_max=MAXIMA, dense_max=MAXIMA, d=st.integers(2, 10_000))
+@example(sparse_max=0.0, dense_max=10.0, d=4)  # minimum 2, on the bisection grid
+@example(sparse_max=0.25, dense_max=5.0, d=4)  # minimum below the first bisection bracket
+@example(sparse_max=0.0, dense_max=12.000001, d=12)  # dense sum just above d
+@example(sparse_max=-1.0, dense_max=3.0, d=3)  # quiet at beta = 0
+def test_closed_form_quiet_beta_is_quiet_and_minimal(sparse_max, dense_max, d):
+    beta = float(_minimal_quiet_beta(sparse_max, dense_max, d))
+    assert sparse_max <= beta
+    # Rounding in dense_cap leaves it one ulp short of dense_max in about 15%
+    # of random cases (relative 6e-16 at most); 1e-12 bounds that.
+    assert dense_max <= dense_cap(beta, d) * (1 + 1e-12)
+    if beta > 0:
+        assert not _exactly_quiet(beta * (1 - 1e-9), sparse_max, dense_max, d)
+    # The bisection stops within 1e-3 above the minimum; when the minimum is
+    # on its grid the two agree up to rounding.
+    reference = minimal_quiet_beta(sparse_max, dense_max, d)
+    assert beta <= reference * (1 + 1e-12)
+    assert reference < beta + 1e-3
 
 
 def test_null_model_scale_estimation_path():

@@ -10,6 +10,7 @@ from subsetcp import (
     draw_intervals,
     gaussian_model,
     make_matrix,
+    negbin_model,
     postprocess,
     subset_wbs,
     theoretical_penalties,
@@ -70,3 +71,27 @@ def test_permuting_variates_permutes_affected_sets(seed, perm):
         for det in permuted
     ]
     assert got == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, scale=st.floats(1e-3, 1e3))
+@example(seed=0, scale=7.5)
+def test_detections_ignore_common_rescaling_with_estimated_scale(seed, scale):
+    y = _panel(seed)
+    want = [(det.tau, det.kind, det.affected) for det in _detect(y, seed)]
+    assert want
+    assert [(det.tau, det.kind, det.affected) for det in _detect(scale * y, seed)] == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS)
+def test_reversing_time_reverses_full_interval_gains(seed):
+    counts = np.random.default_rng(seed).negative_binomial(20.0, 0.5, size=(D, N)).astype(float)
+    counts[:2, 40:] += 5.0
+    for build, y in ((gaussian_model, _panel(seed)), (negbin_model, counts)):
+        forward = build(make_matrix(y)).gain_matrix(1, N)
+        backward = build(make_matrix(y[:, ::-1])).gain_matrix(1, N)
+        # Column t - 1 splits after t; in the reversed series that split is
+        # after N - t.  A count gain is a difference of span costs near 1e4,
+        # so near-zero gains differ by rounding of about 1e-12: hence atol.
+        np.testing.assert_allclose(backward[:, ::-1], forward, rtol=1e-9, atol=1e-9)

@@ -305,7 +305,7 @@ def test_constant_residuals_raise_with_variate_index():
     values = np.vstack([np.full(50, 3.0), np.random.default_rng(212).standard_normal(50)])
     matrix = make_matrix(values)
     model = gaussian_model(matrix, sigma=1.0)
-    with pytest.raises(NumericalError, match=r"variates \[1\]"):
+    with pytest.raises(NumericalError, match=r"variates \['x1'\]"):
         pearson_residual_correlations(matrix, model, _null_result(50, 2))
 
 

@@ -259,9 +259,9 @@ def test_experiment_recovers_strong_small_scenario():
     assert report.type2_rate == 0.0
 
 
-def test_experiment_supports_fixed_threshold_baselines():
+def test_experiment_calibrates_baseline_thresholds():
     spec = scenario("Aprime", model="gaussian", n=120, d=12, delta=2.0)
-    det = DetectorConfig(method="mean", intervals=40, threshold=3.0)
+    det = DetectorConfig(method="mean", intervals=40, calib_reps=20)
     report = run_experiment(spec, det, reps=3, rng=RandomSource(602))
     assert report.avg_missed == 0.0
     assert report.avg_false_alarms == 0.0
