@@ -12,7 +12,7 @@ penalty calibration, and a simulation laboratory.
 from .baselines import (
     BASELINE_METHODS,
     BaselineConfig,
-    aggregate_cusum,
+    baseline_statistic,
     baseline_wbs,
     cusum_matrix,
     default_binweight_alpha,
@@ -63,10 +63,6 @@ from .reports import (
     write_report,
 )
 from .simlab import (
-    AMOC_GAUSS,
-    MULTI_GAUSS,
-    SMALL_GAUSS,
-    SMALL_NEGBIN,
     ChangeSpec,
     DetectorConfig,
     MetricsReport,
@@ -89,7 +85,6 @@ from .wbs import IntervalSet, draw_intervals, subset_wbs
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMOC_GAUSS",
     "AnalysisReport",
     "BASELINE_METHODS",
     "BaselineConfig",
@@ -103,7 +98,6 @@ __all__ = [
     "IntervalSet",
     "KIND_DENSE",
     "KIND_SPARSE",
-    "MULTI_GAUSS",
     "MetricsReport",
     "NEGBIN",
     "NullModel",
@@ -111,14 +105,12 @@ __all__ = [
     "PenaltyConfig",
     "RandomSource",
     "ReplicateRow",
-    "SMALL_GAUSS",
-    "SMALL_NEGBIN",
     "ScenarioSpec",
     "SegmentationResult",
     "StatisticProfile",
     "TimeSeriesMatrix",
-    "aggregate_cusum",
     "amoc_scenario",
+    "baseline_statistic",
     "baseline_wbs",
     "build_report",
     "calibrate_baseline_threshold",

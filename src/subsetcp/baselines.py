@@ -30,19 +30,16 @@ def default_binweight_alpha(n: int) -> float:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Aggregation method, detection threshold, and the binweight cut-off."""
+    """Aggregation method and detection threshold."""
 
     method: str
     threshold: float
-    binweight_alpha: float | None = None
 
     def __post_init__(self) -> None:
         if self.method not in BASELINE_METHODS:
             raise InputDataError(
                 f"unknown baseline {self.method!r}; choose from {BASELINE_METHODS}"
             )
-        if self.method == METHOD_BINWEIGHT and self.binweight_alpha is None:
-            raise InputDataError("binweight needs binweight_alpha")
 
 
 def cusum_matrix(model: CostModel, l: int, u: int) -> np.ndarray:
@@ -63,14 +60,19 @@ def aggregate_cusum(method: str, w: np.ndarray, binweight_alpha: float | None = 
     raise InputDataError(f"unknown baseline {method!r}; choose from {BASELINE_METHODS}")
 
 
+def baseline_statistic(model: CostModel, method: str, l: int, u: int) -> np.ndarray:
+    """Aggregated |CUSUM| at every split of (l, u); binweight keeps the
+    variates above ``default_binweight_alpha(n)``."""
+    return aggregate_cusum(method, cusum_matrix(model, l, u), default_binweight_alpha(model.n))
+
+
 def scan_interval_baseline(
     model: CostModel, config: BaselineConfig, l: int, u: int
 ) -> Detection | None:
     """Best baseline candidate on (l, u); smallest t wins ties."""
     if u - l <= 1:
         raise ValueError(f"interval ({l}, {u}) has no interior split")
-    w = cusum_matrix(model, l, u)
-    s = aggregate_cusum(config.method, w, config.binweight_alpha) - config.threshold
+    s = baseline_statistic(model, config.method, l, u) - config.threshold
     best = int(np.argmax(s))
     if s[best] <= 0.0:
         return None

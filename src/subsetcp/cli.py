@@ -113,8 +113,8 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    spec = scenario(
+def _scenario(args):
+    return scenario(
         args.scenario,
         model=args.model,
         n=args.n,
@@ -125,6 +125,18 @@ def cmd_simulate(args) -> int:
         base_p=args.base_p,
         surge=args.surge,
     )
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or print it when no path is given."""
+    if path:
+        atomic_write_text(path, text + "\n")
+        print(f"wrote {path}")
+    else:
+        print(text)
+
+
+def cmd_simulate(args) -> int:
     detector = DetectorConfig(
         method=args.method,
         intervals=args.intervals,
@@ -132,13 +144,8 @@ def cmd_simulate(args) -> int:
         calib_reps=args.calib_reps,
         run_postprocess=not args.no_postprocess,
     )
-    report = run_experiment(spec, detector, args.reps, RandomSource(args.seed))
-    text = replicate_table(report)
-    if args.output:
-        atomic_write_text(args.output, text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    report = run_experiment(_scenario(args), detector, args.reps, RandomSource(args.seed))
+    _emit(replicate_table(report), args.output)
     return 0
 
 
@@ -169,20 +176,10 @@ def cmd_benchmark(args) -> int:
     for method in methods:
         if method not in _METHODS:
             raise InputDataError(f"unknown method {method!r}; choose from {_METHODS}")
+    spec = _scenario(args)
     lines = [f"scenario={args.scenario} model={args.model} reps={args.reps} n={args.n}"]
     lines.append("method\tavg_missed\tavg_false_alarms")
     for k, method in enumerate(methods):
-        spec = scenario(
-            args.scenario,
-            model=args.model,
-            n=args.n,
-            d=args.d,
-            delta=args.delta,
-            dp=args.dp,
-            r=args.r,
-            base_p=args.base_p,
-            surge=args.surge,
-        )
         detector = DetectorConfig(
             method=method,
             intervals=args.intervals,
@@ -191,12 +188,7 @@ def cmd_benchmark(args) -> int:
         )
         report = run_experiment(spec, detector, args.reps, RandomSource(args.seed).child(k))
         lines.append(f"{method}\t{report.avg_missed:.2f}\t{report.avg_false_alarms:.2f}")
-    text = "\n".join(lines)
-    if args.output:
-        atomic_write_text(args.output, text + "\n")
-        print(f"wrote {args.output}")
-    else:
-        print(text)
+    _emit("\n".join(lines), args.output)
     return 0
 
 

@@ -117,7 +117,14 @@ class NullModel:
 
 
 def _null_maxima(
-    n: int, d: int, null: NullModel, rng: RandomSource, reps: int, intervals: int, statistic
+    n: int,
+    d: int,
+    null: NullModel,
+    rng: RandomSource,
+    target_fp: float,
+    reps: int,
+    intervals: int,
+    statistic,
 ) -> np.ndarray:
     """Per-replicate maxima of ``statistic(model, l, u)`` over null datasets.
 
@@ -125,10 +132,12 @@ def _null_maxima(
     own interval set from (rep, 1) (``intervals`` = 0 means a plain scan of
     (1, n)); intervals with a single split are skipped, as in the detector.
     A statistic returning k values gives shape (reps, k), each maximised
-    on its own.
+    on its own.  ``target_fp`` is only checked here, before the first draw.
     """
     from .wbs import draw_intervals
 
+    if not 0.0 < target_fp < 1.0:
+        raise InputDataError(f"target_fp must be in (0, 1), got {target_fp}")
     if reps < 20:
         raise InputDataError(f"calibration needs at least 20 replicates, got {reps}")
     maxima = []
@@ -173,15 +182,15 @@ def calibrate_beta(
     """
     if d < 2:
         raise InputDataError("calibration needs d >= 2")
-    if not 0.0 < target_fp < 1.0:
-        raise InputDataError(f"target_fp must be in (0, 1), got {target_fp}")
     alpha = 2.0 * math.log(d)
 
     def branch_maxima(model: CostModel, l: int, u: int) -> tuple[float, float]:
         gains = model.gain_matrix(l, u)
         return np.maximum(gains - alpha, 0.0).sum(axis=0).max(), gains.sum(axis=0).max()
 
-    sparse_max, dense_max = _null_maxima(n, d, null, rng, reps, intervals, branch_maxima).T
+    sparse_max, dense_max = _null_maxima(
+        n, d, null, rng, target_fp, reps, intervals, branch_maxima
+    ).T
     minima = _minimal_quiet_beta(sparse_max, dense_max, d)
     beta = float(np.quantile(minima, 1.0 - target_fp, method="higher"))
     return PenaltyConfig(
@@ -203,20 +212,19 @@ def calibrate_baseline_threshold(
     target_fp: float = 0.05,
     reps: int = 200,
     intervals: int = 1000,
-    binweight_alpha: float | None = None,
 ) -> float:
     """Null quantile threshold for a CUSUM aggregation baseline.
 
     Returns the (1 - target_fp) quantile over null datasets of the largest
-    aggregated statistic across intervals and splits.
+    ``baselines.baseline_statistic`` across intervals and splits.
     """
-    from .baselines import aggregate_cusum, cusum_matrix
+    from .baselines import baseline_statistic
 
     if null.kind != GAUSSIAN:
         raise InputDataError("baseline calibration is defined for the Gaussian model only")
 
     def aggregated_max(model: CostModel, l: int, u: int) -> float:
-        return aggregate_cusum(method, cusum_matrix(model, l, u), binweight_alpha).max()
+        return baseline_statistic(model, method, l, u).max()
 
-    maxima = _null_maxima(n, d, null, rng, reps, intervals, aggregated_max)
+    maxima = _null_maxima(n, d, null, rng, target_fp, reps, intervals, aggregated_max)
     return float(np.quantile(maxima, 1.0 - target_fp, method="higher"))

@@ -53,18 +53,16 @@ def optimal_partition(
     return tuple(reversed(selected))
 
 
-def postprocess(
-    model: CostModel, result: SegmentationResult, alpha: float | None = None
-) -> SegmentationResult:
+def postprocess(model: CostModel, result: SegmentationResult) -> SegmentationResult:
     """Re-derive affected sets by per-variate partitioning; drop orphans.
 
-    Applies to every candidate regardless of its detection label.  With no
-    candidates the result is returned unchanged.
+    Each kept change costs the detection penalty's ``alpha``.  Applies to
+    every candidate regardless of its detection label.  With no candidates
+    the result is returned unchanged.
     """
     if not result.detections:
         return result
-    if alpha is None:
-        alpha = result.penalties.alpha
+    alpha = result.penalties.alpha
     taus = [det.tau for det in result.detections]
     membership: dict[int, set[int]] = {tau: set() for tau in taus}
     for i in range(1, model.d + 1):

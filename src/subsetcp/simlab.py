@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +29,11 @@ from .penalties import NullModel, calibrate_baseline_threshold, calibrate_beta
 from .postprocess import postprocess
 from .wbs import draw_intervals, subset_wbs
 
-AMOC_GAUSS = "amoc_gauss"
-MULTI_GAUSS = "multi_gauss"
-SMALL_GAUSS = "small_gauss"
-SMALL_NEGBIN = "small_negbin"
-_GAUSS_KINDS = (AMOC_GAUSS, MULTI_GAUSS, SMALL_GAUSS)
-
 # Change times for the named multi-change layouts, on the n=1000 scale.
 _MULTI_TIMES = (600, 783, 926)
 _SURGE_TIMES = (280, 320)
 _SURGE_VARIATE = 3
-DEFAULT_SURGE_SHIFT = 5.0
+_SURGE_SHIFT = 5.0
 
 # Fraction of variates affected by each of the three changes.
 _DENSITY_SCENARIOS = {
@@ -63,8 +57,8 @@ SCENARIO_NAMES = tuple(_DENSITY_SCENARIOS) + tuple(_SMALL_SCENARIOS)
 class ChangeSpec:
     """One planted change: position, 1-based affected variates, signed shift.
 
-    For Gaussian kinds ``delta`` adds to the mean from ``tau + 1`` on; for
-    count kinds it adds to the success probability (negative values raise
+    For the Gaussian model ``delta`` adds to the mean from ``tau + 1`` on;
+    for counts it adds to the success probability (negative values raise
     the mean).
     """
 
@@ -82,7 +76,7 @@ class ChangeSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    kind: str
+    model: str
     n: int
     d: int
     changes: tuple[ChangeSpec, ...]
@@ -91,8 +85,8 @@ class ScenarioSpec:
     negbin_p: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kind not in (*_GAUSS_KINDS, SMALL_NEGBIN):
-            raise InputDataError(f"unknown scenario kind {self.kind!r}")
+        if self.model not in (GAUSSIAN, NEGBIN):
+            raise InputDataError(f"unknown scenario model {self.model!r}")
         if self.n < 2 or self.d < 1:
             raise InputDataError("scenario needs n >= 2 and d >= 1")
         taus = [ch.tau for ch in self.changes]
@@ -131,15 +125,15 @@ def scenario(
     r: float = 20.0,
     base_p: float = 0.5,
     surge: bool = False,
-    surge_shift: float = DEFAULT_SURGE_SHIFT,
 ) -> ScenarioSpec:
     """Build a named multi-change scenario.
 
     Names A..E choose affected variates by density (d defaults to 1000);
     Aprime..Dprime use explicit 12-variate layouts.  ``delta`` is the
     Gaussian mean shift per change, ``dp`` the count probability shift
-    (each change lowers p by dp, raising the mean).  Change times scale
-    proportionally when n differs from 1000.
+    (each change lowers p by dp, raising the mean).  A Gaussian surge
+    shifts by 5.  Change times scale proportionally when n differs from
+    1000.
     """
     if name not in SCENARIO_NAMES:
         raise InputDataError(
@@ -147,21 +141,20 @@ def scenario(
         )
     if model not in ("gaussian", "negbin"):
         raise InputDataError(f"model must be 'gaussian' or 'negbin', got {model!r}")
+    model = GAUSSIAN if model == "gaussian" else NEGBIN
     if name in _DENSITY_SCENARIOS:
-        if model != "gaussian":
+        if model != GAUSSIAN:
             raise InputDataError("density scenarios A..E are Gaussian layouts")
         d = 1000 if d is None else d
         sets = [_density_set(f, d) for f in _DENSITY_SCENARIOS[name]]
-        kind = MULTI_GAUSS
     else:
         d = 12 if d is None else d
         sets = [_resolve_set(s, d) for s in _SMALL_SCENARIOS[name]]
-        kind = SMALL_GAUSS if model == "gaussian" else SMALL_NEGBIN
     times = [round(t * n / 1000) for t in _MULTI_TIMES]
     if any(b <= a for a, b in zip(times, times[1:])) or times[0] < 1 or times[-1] > n - 1:
         raise InputDataError(f"n={n} too small for the three-change layout")
 
-    shift = -dp if kind == SMALL_NEGBIN else delta
+    shift = -dp if model == NEGBIN else delta
     changes = [
         ChangeSpec(tau=t, affected=s, delta=shift)
         for t, s in zip(times, sets)
@@ -169,14 +162,14 @@ def scenario(
     ]
     if surge:
         s_times = [round(t * n / 1000) for t in _SURGE_TIMES]
-        s_shift = -dp if kind == SMALL_NEGBIN else surge_shift
+        s_shift = -dp if model == NEGBIN else _SURGE_SHIFT
         changes = [
             ChangeSpec(tau=s_times[0], affected=(_SURGE_VARIATE,), delta=s_shift),
             ChangeSpec(tau=s_times[1], affected=(_SURGE_VARIATE,), delta=-s_shift),
             *changes,
         ]
     return ScenarioSpec(
-        kind=kind,
+        model=model,
         n=n,
         d=d,
         changes=tuple(changes),
@@ -200,12 +193,12 @@ def amoc_scenario(
     chosen = _density_set(density, d) if density is not None else tuple(affected)
     tau = n // 2 if tau is None else tau
     changes = (ChangeSpec(tau=tau, affected=chosen, delta=delta),) if delta != 0 else ()
-    return ScenarioSpec(kind=AMOC_GAUSS, n=n, d=d, changes=changes)
+    return ScenarioSpec(model=GAUSSIAN, n=n, d=d, changes=changes)
 
 
 def signal_matrix(spec: ScenarioSpec) -> np.ndarray:
-    """Noise-free parameter matrix: means for Gaussian kinds, p for counts."""
-    base = 0.0 if spec.kind in _GAUSS_KINDS else spec.negbin_p
+    """Noise-free parameter matrix: means for the Gaussian model, p for counts."""
+    base = spec.negbin_p if spec.model == NEGBIN else 0.0
     signal = np.full((spec.d, spec.n), base)
     for ch in spec.changes:
         rows = [i - 1 for i in ch.affected]
@@ -223,7 +216,7 @@ def generate(
     """
     signal = signal_matrix(spec)
     g = rng.generator()
-    if spec.kind in _GAUSS_KINDS:
+    if spec.model == GAUSSIAN:
         values = signal + g.standard_normal((spec.d, spec.n))
     else:
         if np.any(signal <= 0) or np.any(signal >= 1):
@@ -236,15 +229,14 @@ def generate(
 def fit_model(matrix: TimeSeriesMatrix, spec: ScenarioSpec) -> CostModel:
     """Cost model matching the scenario: unit variance is known for Gaussian
     draws; count dispersion is re-estimated from the data as in production."""
-    if spec.kind in _GAUSS_KINDS:
+    if spec.model == GAUSSIAN:
         return gaussian_model(matrix, sigma=1.0)
     return negbin_model(matrix)
 
 
 def null_model(spec: ScenarioSpec) -> NullModel:
-    if spec.kind in _GAUSS_KINDS:
-        return NullModel(kind=GAUSSIAN, sigma=1.0)
-    return NullModel(kind=NEGBIN, r=spec.negbin_r, p=spec.negbin_p)
+    """Unit-variance Gaussian noise, or the scenario's base Neg-Bin(r, p)."""
+    return NullModel(kind=spec.model, r=spec.negbin_r, p=spec.negbin_p)
 
 
 def matching_window(n: int) -> int:
@@ -263,7 +255,7 @@ class MetricsReport:
     location_histogram: dict[int, int]
     n_reps: int = 1
     surge_in_truth: bool = False
-    replicates: tuple["ReplicateRow", ...] = field(default=())
+    replicates: tuple["ReplicateRow", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -275,26 +267,62 @@ class ReplicateRow:
     fpr: float
 
 
-def _affected_rates(
-    result: SegmentationResult, truth: tuple[ChangeSpec, ...], n: int, d: int
-) -> tuple[list[float], list[float]]:
-    """Per-change recovery rates from sparse-labelled matched detections."""
+def _score(
+    runs: list[tuple[SegmentationResult, tuple[ChangeSpec, ...]]],
+    n: int,
+    d: int,
+    surge: bool,
+    replicates: tuple[ReplicateRow, ...] = (),
+) -> MetricsReport:
+    """Average the accuracy of (result, truth) runs.
+
+    Affected-set rates follow the sparse-recovery convention: each true
+    change is matched to its nearest estimate inside the window, and only
+    sparse-labelled matches contribute.  TPR is the fraction of truly
+    affected variates recovered, FPR the fraction of unaffected variates
+    falsely included; both average over the contributing changes of all
+    runs.
+    """
     tol = matching_window(n)
+    missed = false_alarms = type2 = 0
     tpr_values: list[float] = []
     fpr_values: list[float] = []
-    for ch in truth:
-        matches = [det for det in result.detections if abs(det.tau - ch.tau) <= tol]
-        if not matches:
-            continue
-        nearest = min(matches, key=lambda det: (abs(det.tau - ch.tau), det.tau))
-        if nearest.kind != KIND_SPARSE:
-            continue
-        true_set = set(ch.affected)
-        est_set = set(nearest.affected)
-        tpr_values.append(len(est_set & true_set) / len(true_set))
-        if len(true_set) < d:
-            fpr_values.append(len(est_set - true_set) / (d - len(true_set)))
-    return tpr_values, fpr_values
+    histogram: Counter[int] = Counter()
+    for result, truth in runs:
+        estimates = [det.tau for det in result.detections]
+        histogram.update(estimates)
+        run_missed = sum(
+            1 for ch in truth if not any(abs(est - ch.tau) <= tol for est in estimates)
+        )
+        missed += run_missed
+        type2 += run_missed > 0
+        false_alarms += sum(
+            1 for est in estimates if not any(abs(est - ch.tau) <= tol for ch in truth)
+        )
+        for ch in truth:
+            matches = [det for det in result.detections if abs(det.tau - ch.tau) <= tol]
+            if not matches:
+                continue
+            nearest = min(matches, key=lambda det: (abs(det.tau - ch.tau), det.tau))
+            if nearest.kind != KIND_SPARSE:
+                continue
+            true_set = set(ch.affected)
+            est_set = set(nearest.affected)
+            tpr_values.append(len(est_set & true_set) / len(true_set))
+            if len(true_set) < d:
+                fpr_values.append(len(est_set - true_set) / (d - len(true_set)))
+
+    return MetricsReport(
+        avg_missed=missed / len(runs),
+        avg_false_alarms=false_alarms / len(runs),
+        type2_rate=type2 / len(runs),
+        affected_tpr=float(np.mean(tpr_values)) if tpr_values else 0.0,
+        affected_fpr=float(np.mean(fpr_values)) if fpr_values else 0.0,
+        location_histogram=dict(histogram),
+        n_reps=len(runs),
+        surge_in_truth=surge,
+        replicates=replicates,
+    )
 
 
 def evaluate(
@@ -304,40 +332,8 @@ def evaluate(
     d: int,
     surge: bool = False,
 ) -> MetricsReport:
-    """Score one detection run against the planted changes.
-
-    Affected-set rates follow the sparse-recovery convention: each true
-    change is matched to its nearest estimate inside the window, and only
-    sparse-labelled matches contribute.  TPR is the fraction of truly
-    affected variates recovered; FPR the fraction of unaffected variates
-    falsely included.
-    """
-    tol = matching_window(n)
-    estimates = [det.tau for det in result.detections]
-    true_taus = [ch.tau for ch in truth]
-
-    missed = sum(
-        1
-        for tau in true_taus
-        if not any(abs(est - tau) <= tol for est in estimates)
-    )
-    false_alarms = sum(
-        1
-        for est in estimates
-        if not any(abs(est - tau) <= tol for tau in true_taus)
-    )
-    type2 = 1.0 if (true_taus and missed > 0) else 0.0
-    tpr_values, fpr_values = _affected_rates(result, truth, n, d)
-
-    return MetricsReport(
-        avg_missed=float(missed),
-        avg_false_alarms=float(false_alarms),
-        type2_rate=type2,
-        affected_tpr=float(np.mean(tpr_values)) if tpr_values else 0.0,
-        affected_fpr=float(np.mean(fpr_values)) if fpr_values else 0.0,
-        location_histogram=dict(Counter(estimates)),
-        surge_in_truth=surge,
-    )
+    """Score one detection run against the planted changes (see ``_score``)."""
+    return _score([(result, truth)], n, d, surge)
 
 
 @dataclass(frozen=True)
@@ -368,7 +364,7 @@ def run_experiment(
     the replicate-level contributing pairs, so replicates without a sparse
     match do not dilute them.
     """
-    from .baselines import BaselineConfig, baseline_wbs, default_binweight_alpha
+    from .baselines import BaselineConfig, baseline_wbs
 
     if reps < 1:
         raise InputDataError("need at least one replicate")
@@ -380,28 +376,13 @@ def run_experiment(
     if detector.method == "subset":
         penalties = calibrate_beta(spec.n, spec.d, null, rng.child(0), **calibration)
     else:
-        bw_alpha = default_binweight_alpha(spec.n) if detector.method == "binweight" else None
         threshold = calibrate_baseline_threshold(
-            spec.n,
-            spec.d,
-            detector.method,
-            null,
-            rng.child(0),
-            binweight_alpha=bw_alpha,
-            **calibration,
+            spec.n, spec.d, detector.method, null, rng.child(0), **calibration
         )
-        config = BaselineConfig(
-            method=detector.method, threshold=threshold, binweight_alpha=bw_alpha
-        )
+        config = BaselineConfig(method=detector.method, threshold=threshold)
 
+    runs = []
     rows: list[ReplicateRow] = []
-    histogram: Counter[int] = Counter()
-    missed_total = 0.0
-    fa_total = 0.0
-    type2_total = 0.0
-    tpr_values: list[float] = []
-    fpr_values: list[float] = []
-
     for rep in range(reps):
         matrix, truth = generate(spec, rng.child(1, rep, 0))
         model = fit_model(matrix, spec)
@@ -413,14 +394,7 @@ def run_experiment(
         else:
             result = baseline_wbs(model, config, interval_set, seed=rep)
         metrics = evaluate(result, truth, spec.n, spec.d, surge=spec.surge)
-        missed_total += metrics.avg_missed
-        fa_total += metrics.avg_false_alarms
-        type2_total += metrics.type2_rate
-        if metrics.location_histogram:
-            histogram.update(metrics.location_histogram)
-        rep_tpr, rep_fpr = _affected_rates(result, truth, spec.n, spec.d)
-        tpr_values.extend(rep_tpr)
-        fpr_values.extend(rep_fpr)
+        runs.append((result, truth))
         rows.append(
             ReplicateRow(
                 seed=rep,
@@ -430,18 +404,7 @@ def run_experiment(
                 fpr=metrics.affected_fpr,
             )
         )
-
-    return MetricsReport(
-        avg_missed=missed_total / reps,
-        avg_false_alarms=fa_total / reps,
-        type2_rate=type2_total / reps,
-        affected_tpr=float(np.mean(tpr_values)) if tpr_values else 0.0,
-        affected_fpr=float(np.mean(fpr_values)) if fpr_values else 0.0,
-        location_histogram=dict(histogram),
-        n_reps=reps,
-        surge_in_truth=spec.surge,
-        replicates=tuple(rows),
-    )
+    return _score(runs, spec.n, spec.d, spec.surge, replicates=tuple(rows))
 
 
 def replicate_table(report: MetricsReport) -> str:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Detection, InputDataError, RandomSource, SegmentationResult, TimeSeriesMatrix
 from .costs import CostModel
 from .penalties import PenaltyConfig
@@ -35,19 +37,22 @@ class IntervalSet:
 
 
 def draw_intervals(n: int, m: int, rng: RandomSource) -> IntervalSet:
-    """Draw ``m`` intervals by sorting two uniform draws on 1..n (ties redrawn)."""
+    """Draw ``m`` intervals by sorting two uniform draws on 1..n (ties redrawn).
+
+    Pairs are drawn in batches and tied pairs dropped, then the shortfall is
+    drawn again from the same stream; this gives the same intervals as
+    drawing one pair at a time.
+    """
     if n < 3:
         raise InputDataError(f"need n >= 3 to draw intervals, got {n}")
     if m < 0:
         raise InputDataError(f"interval count must be >= 0, got {m}")
     g = rng.generator()
     pairs: list[tuple[int, int]] = [(1, n)]
-    for _ in range(m):
-        while True:
-            a, b = g.integers(1, n + 1, size=2)
-            if a != b:
-                break
-        pairs.append((int(min(a, b)), int(max(a, b))))
+    while len(pairs) <= m:
+        draws = g.integers(1, n + 1, size=(m + 1 - len(pairs), 2))
+        draws = np.sort(draws[draws[:, 0] != draws[:, 1]], axis=1)
+        pairs.extend(map(tuple, draws.tolist()))
     return IntervalSet(n=n, m=m, pairs=tuple(pairs))
 
 

@@ -122,3 +122,16 @@ def best_partition(y, taus, alpha: float, sigma=None, r=None) -> tuple[int, ...]
             if val < best_val - 1e-12:
                 best_val, best_sel = val, tuple(keep)
     return best_sel
+
+
+def draw_intervals(n: int, m: int, g) -> list[tuple[int, int]]:
+    """``m`` intervals from generator ``g``, one pair of uniform draws on
+    1..n at a time, each tie redrawn; the full interval (1, n) comes first."""
+    pairs = [(1, n)]
+    for _ in range(m):
+        while True:
+            a, b = g.integers(1, n + 1, size=2)
+            if a != b:
+                break
+        pairs.append((int(min(a, b)), int(max(a, b))))
+    return pairs

@@ -23,7 +23,6 @@ from subsetcp import (
     NullModel,
     PenaltyConfig,
     RandomSource,
-    SMALL_NEGBIN,
     ScenarioSpec,
     TimeSeriesMatrix,
     amoc_scenario,
@@ -282,7 +281,7 @@ def test_dense_and_sparse_labels_on_a_count_panel():
     start = time.perf_counter()
     n, d = 564, 12
     spec = ScenarioSpec(
-        kind=SMALL_NEGBIN,
+        model=NEGBIN,
         n=n,
         d=d,
         changes=(

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import baseline_statistic, cusum
+import oracles
 from subsetcp import (
     BaselineConfig,
     GAUSSIAN,
     InputDataError,
     NullModel,
     RandomSource,
-    aggregate_cusum,
+    baseline_statistic,
     baseline_wbs,
     calibrate_baseline_threshold,
     cusum_matrix,
@@ -23,6 +23,7 @@ from subsetcp import (
     negbin_model,
     scan_interval_baseline,
 )
+from subsetcp.baselines import aggregate_cusum
 
 
 def test_cusum_hand_values():
@@ -56,7 +57,7 @@ def test_cusum_matrix_row_matches_scalar_cusum():
     w = cusum_matrix(model, 3, 20)
     for t in range(3, 20):
         for i in (1, 2):
-            expect = abs(cusum(y[i - 1], 3, 20, t, model.sigma[i - 1]))
+            expect = abs(oracles.cusum(y[i - 1], 3, 20, t, model.sigma[i - 1]))
             assert w[i - 1, t - 3] == pytest.approx(expect)
 
 
@@ -67,7 +68,7 @@ def test_aggregated_statistics_on_a_known_row():
         ("max", 4.0, None, -1.0),
         ("binweight", 1.0, 2.0, 2.0),
     ):
-        assert baseline_statistic(method, threshold, w, alpha) == pytest.approx(want)
+        assert oracles.baseline_statistic(method, threshold, w, alpha) == pytest.approx(want)
         got = aggregate_cusum(method, w[:, None], alpha)[0] - threshold
         assert got == pytest.approx(want)
 
@@ -75,6 +76,27 @@ def test_aggregated_statistics_on_a_known_row():
 def test_default_binweight_alpha_formula():
     assert default_binweight_alpha(100) == pytest.approx(math.sqrt(2 * math.log(100)))
     assert default_binweight_alpha(1000) > default_binweight_alpha(100)
+
+
+def test_baseline_statistic_uses_the_derived_binweight_cut_off():
+    rng = np.random.default_rng(506)
+    n, d = 60, 4
+    y = rng.standard_normal((d, n))
+    y[:2, 30:] += 1.0
+    model = gaussian_model(make_matrix(y), sigma=1.0)
+    cut = math.sqrt(2 * math.log(n))
+    between = 0
+    for l, u in ((1, 60), (10, 45)):
+        for method in ("mean", "max", "binweight"):
+            got = baseline_statistic(model, method, l, u)
+            assert got.shape == (u - l,)
+            for t in range(l, u):
+                w = [abs(oracles.cusum(y[i], l, u, t)) for i in range(d)]
+                want = oracles.baseline_statistic(method, 0.0, w, cut)
+                assert got[t - l] == pytest.approx(want, rel=1e-9, abs=1e-12)
+                # values between sqrt(2 ln d) and sqrt(2 ln n) tell the two apart
+                between += sum(math.sqrt(2 * math.log(d)) < x <= cut for x in w)
+    assert between > 0
 
 
 def test_aggregation_is_monotone_in_each_entry():
@@ -93,8 +115,6 @@ def test_aggregation_is_monotone_in_each_entry():
 def test_config_validation():
     with pytest.raises(InputDataError, match="unknown baseline"):
         BaselineConfig(method="median", threshold=1.0)
-    with pytest.raises(InputDataError, match="binweight_alpha"):
-        BaselineConfig(method="binweight", threshold=1.0)
     with pytest.raises(InputDataError, match="binweight_alpha"):
         aggregate_cusum("binweight", np.ones((2, 3)), None)
 
@@ -155,6 +175,18 @@ def test_calibration_rejects_count_nulls_and_tiny_reps():
     with pytest.raises(InputDataError, match="replicates"):
         calibrate_baseline_threshold(
             50, 3, "mean", NullModel(kind=GAUSSIAN), RandomSource(0), reps=5
+        )
+
+
+@pytest.mark.parametrize("target_fp", (0.0, 1.5))
+def test_calibration_rejects_a_bad_target_before_sampling(monkeypatch, target_fp):
+    def no_draws(*args):
+        raise AssertionError("a null dataset was sampled")
+
+    monkeypatch.setattr(NullModel, "sample_model", no_draws)
+    with pytest.raises(InputDataError, match=r"target_fp must be in \(0, 1\)"):
+        calibrate_baseline_threshold(
+            50, 3, "mean", NullModel(kind=GAUSSIAN), RandomSource(0), target_fp=target_fp, reps=20
         )
 
 

@@ -219,6 +219,15 @@ def test_benchmark_compares_methods(tmp_path, capsys):
     assert "unknown method 'median'" in capsys.readouterr().err
 
 
+def test_out_of_range_false_alarm_target_fails_with_a_message(capsys):
+    args = [
+        "benchmark", "--scenario", "Aprime", "--n", "120", "--reps", "1",
+        "--intervals", "20", "--calib-reps", "20", "--methods", "mean", "--fp", "1.5",
+    ]
+    assert main(args) == 1
+    assert "error: target_fp must be in (0, 1), got 1.5" in capsys.readouterr().err
+
+
 def test_help_and_bad_usage_exit_codes(capsys):
     with pytest.raises(SystemExit) as help_exit:
         main(["--help"])

@@ -312,7 +312,7 @@ def test_constant_residuals_raise_with_variate_index():
 def test_count_model_residuals_standardize_on_null_data():
     src = RandomSource(204)
     spec = ScenarioSpec(
-        kind="small_negbin", n=2000, d=3, changes=(), negbin_r=20.0, negbin_p=0.5
+        model="negbin", n=2000, d=3, changes=(), negbin_r=20.0, negbin_p=0.5
     )
     matrix, _ = generate(spec, src.child(0))
     model = negbin_model(matrix)

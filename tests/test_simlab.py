@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from subsetcp import (
-    AMOC_GAUSS,
     GAUSSIAN,
     NEGBIN,
     ChangeSpec,
@@ -14,7 +13,7 @@ from subsetcp import (
     MetricsReport,
     PenaltyConfig,
     RandomSource,
-    SMALL_NEGBIN,
+    ReplicateRow,
     ScenarioSpec,
     SegmentationResult,
     amoc_scenario,
@@ -48,7 +47,7 @@ def _det(tau, kind="dense", affected=frozenset({1}), n=1000):
 
 def test_dense_scenario_layout():
     spec = scenario("A")
-    assert spec.kind == "multi_gauss"
+    assert spec.model == GAUSSIAN
     assert spec.n == 1000 and spec.d == 1000
     assert [ch.tau for ch in spec.changes] == [600, 783, 926]
     for ch in spec.changes:
@@ -66,7 +65,7 @@ def test_density_scenarios_pick_leading_variates():
 
 def test_small_layouts_use_explicit_sets():
     spec = scenario("Bprime")
-    assert spec.kind == "small_gauss"
+    assert spec.model == GAUSSIAN
     assert spec.d == 12
     assert spec.changes[0].affected == tuple(range(1, 13))
     assert spec.changes[1].affected == (1, 7)
@@ -75,7 +74,7 @@ def test_small_layouts_use_explicit_sets():
 
 def test_count_scenarios_shift_probability_down():
     spec = scenario("Aprime", model="negbin", dp=0.1, r=100.0, base_p=0.4)
-    assert spec.kind == SMALL_NEGBIN
+    assert spec.model == NEGBIN
     assert all(ch.delta == -0.1 for ch in spec.changes)
     assert spec.negbin_r == 100.0 and spec.negbin_p == 0.4
 
@@ -112,7 +111,7 @@ def test_count_surge_dips_and_recovers():
 
 def test_signal_matrix_accumulates_shifts():
     spec = ScenarioSpec(
-        kind="small_gauss",
+        model=GAUSSIAN,
         n=6,
         d=1,
         changes=(ChangeSpec(2, (1,), 1.0), ChangeSpec(4, (1,), 1.0)),
@@ -133,21 +132,21 @@ def test_scenario_name_and_model_validation():
 
 def test_spec_validation():
     ch = ChangeSpec(5, (1,), 1.0)
-    with pytest.raises(InputDataError, match="unknown scenario kind"):
-        ScenarioSpec(kind="weird", n=10, d=2, changes=(ch,))
+    with pytest.raises(InputDataError, match="unknown scenario model"):
+        ScenarioSpec(model="weird", n=10, d=2, changes=(ch,))
     with pytest.raises(InputDataError, match="increasing"):
         ScenarioSpec(
-            kind="small_gauss",
+            model=GAUSSIAN,
             n=10,
             d=2,
             changes=(ChangeSpec(5, (1,), 1.0), ChangeSpec(5, (2,), 1.0)),
         )
     with pytest.raises(InputDataError, match="outside"):
-        ScenarioSpec(kind="small_gauss", n=4, d=2, changes=(ch,))
+        ScenarioSpec(model=GAUSSIAN, n=4, d=2, changes=(ch,))
     with pytest.raises(InputDataError, match="names variate"):
-        ScenarioSpec(kind="small_gauss", n=10, d=2, changes=(ChangeSpec(5, (3,), 1.0),))
+        ScenarioSpec(model=GAUSSIAN, n=10, d=2, changes=(ChangeSpec(5, (3,), 1.0),))
     with pytest.raises(InputDataError, match="p in"):
-        ScenarioSpec(kind=SMALL_NEGBIN, n=10, d=2, changes=(), negbin_p=1.5)
+        ScenarioSpec(model=NEGBIN, n=10, d=2, changes=(), negbin_p=1.5)
     with pytest.raises(InputDataError, match="at least one variate"):
         ChangeSpec(5, (), 1.0)
     with pytest.raises(InputDataError, match="non-zero"):
@@ -157,7 +156,7 @@ def test_spec_validation():
 
 def test_single_change_scenario_defaults():
     spec = amoc_scenario(400, 5, 1.0, density=0.4)
-    assert spec.kind == AMOC_GAUSS
+    assert spec.model == GAUSSIAN
     assert spec.changes[0].tau == 200
     assert spec.changes[0].affected == (1, 2)
     explicit = amoc_scenario(400, 5, 1.0, affected=(2, 4), tau=111)
@@ -188,7 +187,7 @@ def test_count_generation_yields_integers_and_checks_probability():
     assert np.all(matrix.values >= 0)
     assert np.all(matrix.values == np.round(matrix.values))
     bad = ScenarioSpec(
-        kind=SMALL_NEGBIN, n=10, d=2, changes=(ChangeSpec(5, (1,), -0.6),)
+        model=NEGBIN, n=10, d=2, changes=(ChangeSpec(5, (1,), -0.6),)
     )
     with pytest.raises(InputDataError, match="outside"):
         generate(bad, RandomSource(0))
@@ -305,3 +304,92 @@ def test_replicate_table_layout():
         surge_in_truth=True,
     )
     assert replicate_table(surged).splitlines()[-1] == "# surge counted as two true changes"
+
+
+def _rows(*rows):
+    return tuple(ReplicateRow(seed, *rest) for seed, rest in enumerate(rows))
+
+
+# Every field of seeded n = 300 experiments: subset with and without
+# post-processing, a negbin scenario with a surge, and the binweight baseline.
+PINNED = (
+    (
+        scenario("Dprime", n=300, delta=1.5),
+        DetectorConfig(intervals=50, calib_reps=20),
+        3,
+        701,
+        MetricsReport(
+            avg_missed=0.0,
+            avg_false_alarms=0.0,
+            type2_rate=0.0,
+            affected_tpr=1.0,
+            affected_fpr=0.022222222222222223,
+            location_histogram={181: 2, 233: 1, 278: 2, 178: 1, 235: 2, 281: 1},
+            n_reps=3,
+            surge_in_truth=False,
+            replicates=_rows(
+                (0, 0, 1.0, 0.03333333333333333), (0, 0, 1.0, 0.0), (0, 0, 1.0, 0.03333333333333333)
+            ),
+        ),
+    ),
+    (
+        scenario("Dprime", n=300, delta=1.5),
+        DetectorConfig(intervals=50, calib_reps=20, run_postprocess=False),
+        3,
+        701,
+        MetricsReport(
+            avg_missed=0.0,
+            avg_false_alarms=0.0,
+            type2_rate=0.0,
+            affected_tpr=1.0,
+            affected_fpr=0.03333333333333334,
+            location_histogram={181: 2, 233: 1, 278: 2, 178: 1, 235: 2, 281: 1},
+            n_reps=3,
+            surge_in_truth=False,
+            replicates=_rows((0, 0, 1.0, 0.0), (0, 0, 1.0, 0.0), (0, 0, 1.0, 0.10000000000000002)),
+        ),
+    ),
+    (
+        scenario("Dprime", model="negbin", n=300, dp=0.2, base_p=0.8, surge=True),
+        DetectorConfig(intervals=50, calib_reps=20),
+        4,
+        702,
+        MetricsReport(
+            avg_missed=1.5,
+            avg_false_alarms=0.0,
+            type2_rate=1.0,
+            affected_tpr=1.0,
+            affected_fpr=0.013636363636363637,
+            location_histogram={84: 2, 96: 3, 180: 3, 278: 1, 85: 1, 179: 1, 235: 2, 234: 1},
+            n_reps=4,
+            surge_in_truth=True,
+            replicates=_rows(
+                (1, 0, 1.0, 0.025), (1, 0, 1.0, 0.022727272727272728), (1, 0, 1.0, 0.0), (3, 0, 1.0, 0.0)
+            ),
+        ),
+    ),
+    (
+        scenario("Cprime", n=300, delta=1.0),
+        DetectorConfig(method="binweight", intervals=50, calib_reps=20),
+        4,
+        703,
+        MetricsReport(
+            avg_missed=0.75,
+            avg_false_alarms=0.0,
+            type2_rate=0.75,
+            affected_tpr=0.0,
+            affected_fpr=0.0,
+            location_histogram={180: 3, 235: 4, 179: 1, 278: 1},
+            n_reps=4,
+            surge_in_truth=False,
+            replicates=_rows((1, 0, 0.0, 0.0), (1, 0, 0.0, 0.0), (0, 0, 0.0, 0.0), (1, 0, 0.0, 0.0)),
+        ),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "spec, detector, reps, seed, want", PINNED, ids=("subset", "subset-raw", "negbin-surge", "binweight")
+)
+def test_seeded_experiments_reproduce_pinned_reports(spec, detector, reps, seed, want):
+    assert run_experiment(spec, detector, reps, RandomSource(seed)) == want

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from subsetcp import (
     ChangeSpec,
     GAUSSIAN,
@@ -36,6 +37,16 @@ def test_interval_draws_are_valid_and_reproducible():
         assert 1 <= l < u <= 564
     again = draw_intervals(564, 1000, RandomSource(2))
     assert iv == again
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 10, 1000))
+def test_batched_interval_draws_match_one_pair_at_a_time(n):
+    for m in (0, 1, 200):
+        for seed in (0, 1, 7, 2024):
+            src = RandomSource(seed).child(1, m)
+            assert list(draw_intervals(n, m, src).pairs) == oracles.draw_intervals(
+                n, m, src.generator()
+            )
 
 
 def test_interval_drawing_rejects_tiny_series():
@@ -128,7 +139,7 @@ def test_single_dense_change_is_found_exactly_once():
     src = RandomSource(203)
     pen = calibrate_beta(n, d, null, src.child(999), target_fp=0.05, reps=100, intervals=200)
     spec = ScenarioSpec(
-        kind="multi_gauss",
+        model=GAUSSIAN,
         n=n,
         d=d,
         changes=(ChangeSpec(tau=600, affected=tuple(range(1, 13)), delta=1.0),),
