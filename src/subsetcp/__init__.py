@@ -39,18 +39,13 @@ from .costs import (
     gaussian_model,
     negbin_model,
 )
-from .diagnostics import (
-    pearson_residual_correlations,
-    pearson_residuals,
-    segment_parameters,
-)
+from .diagnostics import pearson_residual_correlations, pearson_residuals
 from .penalties import (
     NullModel,
     PenaltyConfig,
     calibrate_baseline_threshold,
     calibrate_beta,
     dense_cap,
-    sparse_beta_closed_form,
     theoretical_penalties,
 )
 from .postprocess import optimal_partition, postprocess
@@ -68,7 +63,6 @@ from .simlab import (
     MetricsReport,
     ReplicateRow,
     ScenarioSpec,
-    amoc_scenario,
     evaluate,
     fit_model,
     generate,
@@ -79,7 +73,7 @@ from .simlab import (
     scenario,
     signal_matrix,
 )
-from .single_change import StatisticProfile, scan_interval, statistic_profile
+from .single_change import scan_interval, statistic_profile
 from .wbs import IntervalSet, draw_intervals, subset_wbs
 
 __version__ = "0.1.0"
@@ -107,9 +101,7 @@ __all__ = [
     "ReplicateRow",
     "ScenarioSpec",
     "SegmentationResult",
-    "StatisticProfile",
     "TimeSeriesMatrix",
-    "amoc_scenario",
     "baseline_statistic",
     "baseline_wbs",
     "build_report",
@@ -140,9 +132,7 @@ __all__ = [
     "scan_interval",
     "scan_interval_baseline",
     "scenario",
-    "segment_parameters",
     "signal_matrix",
-    "sparse_beta_closed_form",
     "statistic_profile",
     "subset_wbs",
     "theoretical_penalties",

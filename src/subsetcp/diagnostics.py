@@ -23,19 +23,6 @@ def variate_segments(result: SegmentationResult, i: int) -> list[tuple[int, int]
     return [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def segment_parameters(
-    matrix: TimeSeriesMatrix, result: SegmentationResult
-) -> list[list[tuple[int, int, float]]]:
-    """Per-variate fitted levels: (start, end, mean) for each segment."""
-    out = []
-    for i in range(1, matrix.d + 1):
-        row = matrix.values[i - 1]
-        out.append(
-            [(s, t, float(np.mean(row[s - 1 : t]))) for s, t in variate_segments(result, i)]
-        )
-    return out
-
-
 def pearson_residuals(
     matrix: TimeSeriesMatrix, model: CostModel, result: SegmentationResult
 ) -> np.ndarray:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .core import InputDataError, RandomSource, TimeSeriesMatrix
 from .costs import GAUSSIAN, NEGBIN, CostModel, gaussian_model, negbin_model
@@ -66,21 +65,6 @@ def theoretical_penalties(n: int, d: int, J: float = 2.0, eps: float = 0.1) -> P
         K=dense_cap(beta, d),
         source="theoretical",
     )
-
-
-def sparse_beta_closed_form(n: int, d: int, C: float) -> float:
-    """Sharper beta for sparse-only regimes.
-
-    sqrt(beta) = sqrt(2*d*q) + C*sqrt(ln n) with q the expected fraction of
-    variates whose chi-square(1) gain clears alpha = 2 ln d, i.e.
-    q = erfc(sqrt(ln d)).
-    """
-    if d < 2 or n < 2:
-        raise InputDataError("need d >= 2 and n >= 2")
-    if C <= 0:
-        raise InputDataError("C must be positive")
-    q = float(erfc(math.sqrt(math.log(d))))
-    return (math.sqrt(2.0 * d * q) + C * math.sqrt(math.log(n))) ** 2
 
 
 @dataclass(frozen=True)
@@ -180,13 +164,18 @@ def calibrate_beta(
     returned beta is the (1 - target_fp) empirical quantile of those minima;
     alpha stays at 2 ln d and K is slaved to beta.
     """
+    from .single_change import statistic_profile
+
     if d < 2:
         raise InputDataError("calibration needs d >= 2")
     alpha = 2.0 * math.log(d)
+    # At beta = K = 0 the detector's two branches are the bare sums
+    # sum(max(D - alpha, 0)) and sum(D).
+    branch_sums = PenaltyConfig(alpha=alpha, beta=0.0, K=0.0)
 
     def branch_maxima(model: CostModel, l: int, u: int) -> tuple[float, float]:
-        gains = model.gain_matrix(l, u)
-        return np.maximum(gains - alpha, 0.0).sum(axis=0).max(), gains.sum(axis=0).max()
+        profile = statistic_profile(model, branch_sums, l, u)
+        return profile.s1.max(), profile.s2.max()
 
     sparse_max, dense_max = _null_maxima(
         n, d, null, rng, target_fp, reps, intervals, branch_maxima

@@ -21,49 +21,84 @@ from .penalties import PenaltyConfig
 
 
 def read_csv(path: str | os.PathLike) -> TimeSeriesMatrix:
-    """Load a matrix from CSV, reporting the exact cell on parse failures."""
+    """Load a matrix from CSV, reporting the exact cell on parse failures.
+
+    The body is parsed in one numpy pass; the cell-by-cell parser runs only
+    when that pass declines the file, so that its error names the bad cell.
+    """
     path = Path(path)
     try:
         handle = path.open(newline="")
     except OSError as exc:
         raise InputDataError(f"cannot open {path}: {exc}") from exc
     with handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InputDataError(f"{path}: file is empty") from None
-        if len(header) < 2:
-            raise InputDataError(f"{path}: header needs a time column and at least one variate")
-        names = [h.strip() for h in header[1:]]
-        if len(set(names)) != len(names):
-            dupes = sorted({x for x in names if names.count(x) > 1})
-            raise InputDataError(f"{path}: duplicate variate names {dupes}")
-        labels: list[str] = []
-        columns: list[list[float]] = [[] for _ in names]
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+            parsed = _parse_fast(handle.read())
+        except ValueError:  # an undecodable byte, or a cell loadtxt rejects
+            parsed = None
+        if parsed is None:
+            handle.seek(0)
+            parsed = _parse_cells(handle, path)
+    names, labels, values = parsed
+    return TimeSeriesMatrix(values=values, variate_names=names, time_labels=labels)
+
+
+def _parse_fast(text: str):
+    """(names, labels, values) of a plain file, or None when the cell parser
+    must decide.  Rows end at \r\n, \r or \n, as for ``csv``; quotes, a bad
+    header and rows (whitespace-only ones too) whose field count differs
+    from the header's are left to the cell parser, since ``loadtxt`` would
+    drop extra fields.  A cell ``loadtxt`` rejects raises ValueError."""
+    if '"' in text:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    header = lines[0].split(",")
+    names = tuple(h.strip() for h in header[1:])
+    rows = [line for line in lines[1:] if line]
+    if len(header) < 2 or len(set(names)) != len(names) or len(rows) < 2:
+        return None
+    if any(line.count(",") != len(names) for line in rows):
+        return None
+    labels = tuple(line[: line.index(",")].strip() for line in rows)
+    values = np.loadtxt(
+        rows, delimiter=",", comments=None, usecols=range(1, len(header)), ndmin=2
+    )
+    return names, labels, values.T
+
+
+def _parse_cells(handle, path: Path):
+    reader = csv.reader(handle)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputDataError(f"{path}: file is empty") from None
+    if len(header) < 2:
+        raise InputDataError(f"{path}: header needs a time column and at least one variate")
+    names = [h.strip() for h in header[1:]]
+    if len(set(names)) != len(names):
+        dupes = sorted({x for x in names if names.count(x) > 1})
+        raise InputDataError(f"{path}: duplicate variate names {dupes}")
+    labels: list[str] = []
+    columns: list[list[float]] = [[] for _ in names]
+    for row_num, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputDataError(
+                f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
+            )
+        labels.append(row[0].strip())
+        for col, cell in enumerate(row[1:]):
+            try:
+                columns[col].append(float(cell))
+            except ValueError:
                 raise InputDataError(
-                    f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
-                )
-            labels.append(row[0].strip())
-            for col, cell in enumerate(row[1:]):
-                try:
-                    columns[col].append(float(cell))
-                except ValueError:
-                    raise InputDataError(
-                        f"{path}: row {row_num}, column {names[col]!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
+                    f"{path}: row {row_num}, column {names[col]!r}: "
+                    f"cannot parse {cell!r} as a number"
+                ) from None
     if len(labels) < 2:
         raise InputDataError(f"{path}: need at least 2 data rows, got {len(labels)}")
-    return TimeSeriesMatrix(
-        values=np.array(columns, dtype=float),
-        variate_names=tuple(names),
-        time_labels=tuple(labels),
-    )
+    return tuple(names), tuple(labels), np.array(columns, dtype=float)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

@@ -101,6 +101,10 @@ class ScenarioSpec:
                 )
         if self.negbin_r <= 0 or not 0 < self.negbin_p < 1:
             raise InputDataError("count scenarios need r > 0 and base p in (0, 1)")
+        if self.model == NEGBIN:
+            signal = signal_matrix(self)
+            if np.any(signal <= 0) or np.any(signal >= 1):
+                raise InputDataError("planted shifts push success probability outside (0, 1)")
 
 
 def _density_set(density: float, d: int) -> tuple[int, ...]:
@@ -179,23 +183,6 @@ def scenario(
     )
 
 
-def amoc_scenario(
-    n: int,
-    d: int,
-    delta: float,
-    density: float | None = None,
-    affected: tuple[int, ...] | None = None,
-    tau: int | None = None,
-) -> ScenarioSpec:
-    """Single Gaussian change at ``tau`` (default n // 2)."""
-    if (density is None) == (affected is None):
-        raise InputDataError("give exactly one of density or affected")
-    chosen = _density_set(density, d) if density is not None else tuple(affected)
-    tau = n // 2 if tau is None else tau
-    changes = (ChangeSpec(tau=tau, affected=chosen, delta=delta),) if delta != 0 else ()
-    return ScenarioSpec(model=GAUSSIAN, n=n, d=d, changes=changes)
-
-
 def signal_matrix(spec: ScenarioSpec) -> np.ndarray:
     """Noise-free parameter matrix: means for the Gaussian model, p for counts."""
     base = spec.negbin_p if spec.model == NEGBIN else 0.0
@@ -219,8 +206,6 @@ def generate(
     if spec.model == GAUSSIAN:
         values = signal + g.standard_normal((spec.d, spec.n))
     else:
-        if np.any(signal <= 0) or np.any(signal >= 1):
-            raise InputDataError("planted shifts push success probability outside (0, 1)")
         values = g.negative_binomial(spec.negbin_r, signal).astype(float)
     names = tuple(f"x{i}" for i in range(1, spec.d + 1))
     return TimeSeriesMatrix(values, names), spec.changes

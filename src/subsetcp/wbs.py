@@ -1,9 +1,10 @@
 """Wild binary segmentation: random intervals plus recursive scanning.
 
 A fixed set of random intervals is drawn once and reused at every recursion
-level.  Each active segment is scanned through every stored interval it
-contains (and itself); the candidate with the largest statistic is recorded
-and the segment is split around it.
+level.  Each interval's best split is found once per run and reused at every
+level (Fryzlewicz 2014): an active segment picks, among itself and the stored
+intervals it contains, the candidate with the largest statistic, and is
+split around it.
 """
 
 from __future__ import annotations
@@ -59,23 +60,32 @@ def draw_intervals(n: int, m: int, rng: RandomSource) -> IntervalSet:
 def segmentation_driver(n: int, intervals: IntervalSet, scan) -> list[Detection]:
     """Run the recursion with an arbitrary single-interval scanner.
 
-    ``scan(l, u)`` must return the best candidate on (l, u) or None.  Within
-    an active segment, the segment itself is scanned first, so it wins exact
-    statistic ties; stored intervals then compete in index order.  Recursion
-    on (l0, u0) splits at the winning tau into (l0, tau) and (tau+1, u0);
-    output does not depend on segment processing order.
+    ``scan(l, u)`` must return the best candidate on (l, u) or None.  It is
+    called once per distinct interval; the result is kept for this call and
+    reused at every recursion level.  Within an active segment, the segment
+    itself comes first, so it wins exact statistic ties; stored intervals
+    then compete in index order.  Recursion on (l0, u0) splits at the
+    winning tau into (l0, tau) and (tau+1, u0); output does not depend on
+    segment processing order.
     """
+    scanned: dict[tuple[int, int], Detection | None] = {}
+
+    def best_on(l: int, u: int) -> Detection | None:
+        if (l, u) not in scanned:
+            scanned[l, u] = scan(l, u)
+        return scanned[l, u]
+
     detections: list[Detection] = []
     stack: list[tuple[int, int]] = [(1, n)]
     while stack:
         l0, u0 = stack.pop()
         if u0 - l0 <= 1:
             continue
-        best = scan(l0, u0)
+        best = best_on(l0, u0)
         for l, u in intervals.pairs:
             if (l, u) == (l0, u0) or l < l0 or u > u0 or u - l <= 1:
                 continue
-            candidate = scan(l, u)
+            candidate = best_on(l, u)
             if candidate is not None and (best is None or candidate.statistic > best.statistic):
                 best = candidate
         if best is None:

@@ -1,17 +1,22 @@
-"""Brute-force reference statistics computed straight from raw series.
+"""Brute-force references and helpers that only the tests use.
 
 Every segment is summed directly, with no prefix sums and no dropped
 terms, so these functions check the prefix-sum kernels of ``subsetcp``.
 Series are 1-d arrays; time indices are 1-based and inclusive, as in the
 package.  Costs take exactly one model parameter: ``sigma`` for the Gaussian
-model or ``r`` for the negative binomial one.
+model or ``r`` for the negative binomial one.  The WBS driver here rescans
+every contained interval at every level.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import erfc, gammaln, xlogy
+
+from subsetcp import GAUSSIAN, ChangeSpec, InputDataError, ScenarioSpec
+from subsetcp.diagnostics import variate_segments
+from subsetcp.simlab import _density_set
 
 
 def _segment(y, s: int, t: int) -> np.ndarray:
@@ -135,3 +140,72 @@ def draw_intervals(n: int, m: int, g) -> list[tuple[int, int]]:
                 break
         pairs.append((int(min(a, b)), int(max(a, b))))
     return pairs
+
+
+def segmentation_driver(n: int, intervals, scan) -> list:
+    """WBS recursion that calls ``scan(l, u)`` for the segment and for every
+    stored interval it contains, at every level; the segment wins exact
+    ties, then stored intervals in index order."""
+    detections = []
+    stack = [(1, n)]
+    while stack:
+        l0, u0 = stack.pop()
+        if u0 - l0 <= 1:
+            continue
+        best = scan(l0, u0)
+        for l, u in intervals.pairs:
+            if (l, u) == (l0, u0) or l < l0 or u > u0 or u - l <= 1:
+                continue
+            candidate = scan(l, u)
+            if candidate is not None and (best is None or candidate.statistic > best.statistic):
+                best = candidate
+        if best is None:
+            continue
+        detections.append(best)
+        stack.append((l0, best.tau))
+        stack.append((best.tau + 1, u0))
+    detections.sort(key=lambda det: det.tau)
+    return detections
+
+
+def sparse_beta_closed_form(n: int, d: int, C: float) -> float:
+    """Sharper beta for sparse-only regimes.
+
+    sqrt(beta) = sqrt(2*d*q) + C*sqrt(ln n) with q the expected fraction of
+    variates whose chi-square(1) gain clears alpha = 2 ln d, i.e.
+    q = erfc(sqrt(ln d)).
+    """
+    if d < 2 or n < 2:
+        raise InputDataError("need d >= 2 and n >= 2")
+    if C <= 0:
+        raise InputDataError("C must be positive")
+    q = float(erfc(math.sqrt(math.log(d))))
+    return (math.sqrt(2.0 * d * q) + C * math.sqrt(math.log(n))) ** 2
+
+
+def segment_parameters(matrix, result) -> list[list[tuple[int, int, float]]]:
+    """Per-variate fitted levels: (start, end, mean) for each segment."""
+    out = []
+    for i in range(1, matrix.d + 1):
+        row = matrix.values[i - 1]
+        out.append(
+            [(s, t, float(np.mean(row[s - 1 : t]))) for s, t in variate_segments(result, i)]
+        )
+    return out
+
+
+def amoc_scenario(
+    n: int,
+    d: int,
+    delta: float,
+    density: float | None = None,
+    affected: tuple[int, ...] | None = None,
+    tau: int | None = None,
+) -> ScenarioSpec:
+    """Single Gaussian change at ``tau`` (default n // 2)."""
+    if (density is None) == (affected is None):
+        raise InputDataError("give exactly one of density or affected")
+    chosen = _density_set(density, d) if density is not None else tuple(affected)
+    tau = n // 2 if tau is None else tau
+    changes = (ChangeSpec(tau=tau, affected=chosen, delta=delta),) if delta != 0 else ()
+    return ScenarioSpec(model=GAUSSIAN, n=n, d=d, changes=changes)

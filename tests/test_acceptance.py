@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from oracles import best_partition
+from oracles import amoc_scenario, best_partition
 from subsetcp import (
     BaselineConfig,
     ChangeSpec,
@@ -25,7 +25,6 @@ from subsetcp import (
     RandomSource,
     ScenarioSpec,
     TimeSeriesMatrix,
-    amoc_scenario,
     calibrate_baseline_threshold,
     calibrate_beta,
     draw_intervals,

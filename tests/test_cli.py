@@ -228,6 +228,22 @@ def test_out_of_range_false_alarm_target_fails_with_a_message(capsys):
     assert "error: target_fp must be in (0, 1), got 1.5" in capsys.readouterr().err
 
 
+def test_impossible_count_scenario_fails_before_calibrating(monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("a null dataset was sampled")
+
+    monkeypatch.setattr(subsetcp.NullModel, "sample_model", no_draws)
+    args = [
+        "simulate", "--scenario", "Aprime", "--model", "negbin", "--dp", "0.2",
+        "--n", "300", "--calib-reps", "100", "--reps", "2",
+    ]
+    assert main(args) == 1
+    assert (
+        "error: planted shifts push success probability outside (0, 1)"
+        in capsys.readouterr().err
+    )
+
+
 def test_help_and_bad_usage_exit_codes(capsys):
     with pytest.raises(SystemExit) as help_exit:
         main(["--help"])

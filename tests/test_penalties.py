@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from oracles import minimal_quiet_beta
+from oracles import minimal_quiet_beta, sparse_beta_closed_form
 from subsetcp import (
     GAUSSIAN,
     NEGBIN,
@@ -21,7 +21,6 @@ from subsetcp import (
     calibrate_beta,
     dense_cap,
     scan_interval,
-    sparse_beta_closed_form,
     theoretical_penalties,
 )
 from subsetcp.penalties import _minimal_quiet_beta

@@ -1,8 +1,14 @@
 """CSV input, JSON report round-trips, and model-fit diagnostics."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import segment_parameters
 from subsetcp import (
     AnalysisReport,
     Detection,
@@ -12,6 +18,7 @@ from subsetcp import (
     RandomSource,
     ScenarioSpec,
     SegmentationResult,
+    TimeSeriesMatrix,
     build_report,
     gaussian_model,
     generate,
@@ -21,13 +28,12 @@ from subsetcp import (
     pearson_residual_correlations,
     pearson_residuals,
     read_csv,
-    segment_parameters,
     theoretical_penalties,
     write_pairs_csv,
     write_report,
 )
 from subsetcp.diagnostics import variate_segments
-from subsetcp.reports import atomic_write_text
+from subsetcp.reports import _parse_cells, _parse_fast, atomic_write_text
 
 
 def _pen() -> PenaltyConfig:
@@ -102,6 +108,84 @@ def test_csv_rejects_empty_and_headerless_files(tmp_path):
         read_csv(narrow)
     with pytest.raises(InputDataError, match="cannot open"):
         read_csv(tmp_path / "missing.csv")
+
+
+_GOOD_CELLS = st.one_of(
+    st.floats().map(lambda x: "%.17g" % x),
+    st.integers(-(10**12), 10**12).map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", " 1.5 ", "\t-2", "1e999", ".5", "-0"]),
+)
+# Cells float() rejects, or accepts where loadtxt does not.
+_BAD_CELLS = st.sampled_from(["", " ", "oops", "1_000", "\u0661\u0662", "0x10"])
+_LABELS = st.sampled_from(["1", "2020-01", " t ", "", "#3", "\u00e9t\u00e9"])
+_QUOTED = st.sampled_from(['"2020,01"', '"q"', 'a"b', '"1"', '"1,5"'])
+
+
+@st.composite
+def _csv_texts(draw):
+    """Header plus rows.  Each kind of trouble the numpy pass must leave to
+    the loop is switched on or off per file: bad cells, quotes, ragged and
+    whitespace-only rows, duplicate names."""
+    trouble = st.sampled_from([False, False, True])
+    bad_cells, quotes, ragged, dupes = (draw(trouble) for _ in range(4))
+    cells = st.one_of(_GOOD_CELLS, _BAD_CELLS) if bad_cells else _GOOD_CELLS
+    labels = st.one_of(_LABELS, _QUOTED) if quotes else _LABELS
+    cells = st.one_of(cells, _QUOTED) if quotes else cells
+    d = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(["a", "b", " c ", "x1"]), min_size=d, max_size=d,
+                          unique=not dupes))
+    lines = ["time," + ",".join(names)]
+    kinds = ["row"] * 4 + [""] + (["  ", "ragged"] if ragged else [])
+    for _ in range(draw(st.integers(2, 7))):
+        line = draw(st.sampled_from(kinds))
+        if line in ("row", "ragged"):
+            width = d + (draw(st.sampled_from([-1, 1])) if line == "ragged" else 0)
+            line = ",".join([draw(labels), *draw(st.lists(cells, min_size=width, max_size=width))])
+        lines.append(line)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _loop_read(path):
+    with open(path, newline="") as handle:
+        names, labels, values = _parse_cells(handle, path)
+    return TimeSeriesMatrix(values, names, labels)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except InputDataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+def test_numpy_read_matches_the_cell_loop(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, newline="")
+        with open(path, newline="") as handle:
+            try:
+                fast = _parse_fast(handle.read())
+            except ValueError:
+                fast = None
+        if fast is not None:
+            with open(path, newline="") as handle:
+                names, labels, values = _parse_cells(handle, path)
+            assert fast[:2] == (names, labels)
+            assert np.array_equal(fast[2], values, equal_nan=True)
+        expected, got = _outcome(_loop_read, path), _outcome(read_csv, path)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert (got.variate_names, got.time_labels) == (
+            expected.variate_names,
+            expected.time_labels,
+        )
+        assert got.values.tobytes() == expected.values.tobytes()
 
 
 # --- analysis report ---------------------------------------------------------

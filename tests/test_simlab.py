@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import amoc_scenario
 from subsetcp import (
     GAUSSIAN,
     NEGBIN,
@@ -16,7 +17,6 @@ from subsetcp import (
     ReplicateRow,
     ScenarioSpec,
     SegmentationResult,
-    amoc_scenario,
     evaluate,
     fit_model,
     generate,
@@ -186,11 +186,8 @@ def test_count_generation_yields_integers_and_checks_probability():
     matrix, _ = generate(spec, RandomSource(605))
     assert np.all(matrix.values >= 0)
     assert np.all(matrix.values == np.round(matrix.values))
-    bad = ScenarioSpec(
-        model=NEGBIN, n=10, d=2, changes=(ChangeSpec(5, (1,), -0.6),)
-    )
     with pytest.raises(InputDataError, match="outside"):
-        generate(bad, RandomSource(0))
+        ScenarioSpec(model=NEGBIN, n=10, d=2, changes=(ChangeSpec(5, (1,), -0.6),))
 
 
 def test_fit_and_null_models_follow_the_scenario_kind():

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from subsetcp import (
+    BASELINE_METHODS,
+    KIND_DENSE,
+    NEGBIN,
+    BaselineConfig,
     ChangeSpec,
+    Detection,
     GAUSSIAN,
     InputDataError,
     IntervalSet,
@@ -19,8 +26,12 @@ from subsetcp import (
     gaussian_model,
     generate,
     make_matrix,
+    negbin_model,
+    scan_interval,
+    scan_interval_baseline,
     subset_wbs,
 )
+from subsetcp.wbs import segmentation_driver
 
 
 def test_zero_extra_intervals_means_plain_binary_segmentation():
@@ -153,3 +164,73 @@ def test_single_dense_change_is_found_exactly_once():
         close = [det for det in result.detections if abs(det.tau - 600) <= 7]
         exactly_one += len(close) == 1 and len(result.detections) == 1
     assert exactly_one >= 95
+
+
+def _pair(n):
+    ends = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    return ends.map(lambda p: (min(p), max(p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scanning_each_interval_once_matches_rescanning(data):
+    n = data.draw(st.integers(3, 60), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    kind = data.draw(st.sampled_from((GAUSSIAN, NEGBIN)), label="model")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == GAUSSIAN:
+        # Small integers give many exactly equal gains.
+        model = gaussian_model(make_matrix(rng.integers(0, 4, (d, n))), sigma=1.0)
+    else:
+        model = negbin_model(make_matrix(rng.negative_binomial(5, 0.5, (d, n))))
+    alpha = data.draw(st.floats(0.0, 3.0), label="alpha")
+    beta = data.draw(st.floats(0.0, 4.0), label="beta")
+    K = beta + data.draw(st.floats(0.0, 2.0 * d), label="K - beta")
+    pen = PenaltyConfig(alpha=alpha, beta=beta, K=K)
+    scanners = [lambda l, u: scan_interval(model, pen, l, u)]
+    if kind == GAUSSIAN:
+        for method in BASELINE_METHODS:
+            config = BaselineConfig(method, data.draw(st.floats(0.0, 2.0), label=method))
+            scanners.append(lambda l, u, c=config: scan_interval_baseline(model, c, l, u))
+
+    # Stored intervals repeat each other and the intervals, segments
+    # included, that a first recursion scans.
+    pairs = data.draw(st.lists(_pair(n), max_size=20), label="pairs")
+    if pairs:
+        pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=5), label="repeats")
+    visited = set()
+
+    def recording(l, u):
+        visited.add((l, u))
+        return scanners[0](l, u)
+
+    oracles.segmentation_driver(n, IntervalSet(n, len(pairs), ((1, n), *pairs)), recording)
+    pairs += data.draw(st.lists(st.sampled_from(sorted(visited)), max_size=5), label="visited")
+    iv = IntervalSet(n, len(pairs), ((1, n), *pairs))
+    for scan in scanners:
+        assert segmentation_driver(n, iv, scan) == oracles.segmentation_driver(n, iv, scan)
+
+
+def test_each_interval_is_scanned_once_and_ties_go_to_the_segment_then_the_lowest_index():
+    def det(tau, interval):
+        return Detection(tau, KIND_DENSE, frozenset({1}), 5.0, interval)
+
+    # Every candidate has statistic 5.0.  (1, 20) ties (3, 9) and (11, 18)
+    # and wins as the segment; inside (1, 10), (3, 9) at index 1 beats
+    # (2, 10) at index 4.
+    candidates = {(1, 20): det(10, (1, 20)), (3, 9): det(6, (3, 9)),
+                  (2, 10): det(4, (2, 10)), (11, 18): det(14, (11, 18))}
+    pairs = ((1, 20), (3, 9), (3, 9), (11, 18), (2, 10), (11, 18), (1, 10))
+    calls = {}
+
+    def scan(l, u):
+        calls[l, u] = calls.get((l, u), 0) + 1
+        return candidates.get((l, u))
+
+    found = segmentation_driver(20, IntervalSet(20, len(pairs) - 1, pairs), scan)
+    assert found == [candidates[3, 9], candidates[1, 20], candidates[11, 18]]
+    assert calls == dict.fromkeys(
+        [(1, 20), (3, 9), (11, 18), (2, 10), (1, 10), (11, 20), (1, 6), (7, 10), (11, 14),
+         (15, 20)],
+        1,
+    )
