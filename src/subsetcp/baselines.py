@@ -47,15 +47,14 @@ def cusum_matrix(model: CostModel, l: int, u: int) -> np.ndarray:
     return np.abs(model.cusum(l, u))
 
 
-def aggregate_cusum(method: str, w: np.ndarray, binweight_alpha: float | None = None) -> np.ndarray:
-    """Collapse a (d, T) CUSUM block across variates, before thresholding."""
+def aggregate_cusum(method: str, w: np.ndarray, binweight_alpha: float) -> np.ndarray:
+    """Collapse a (d, T) CUSUM block across variates, before thresholding;
+    binweight sums the entries above ``binweight_alpha``."""
     if method == METHOD_MEAN:
         return w.mean(axis=0)
     if method == METHOD_MAX:
         return w.max(axis=0)
     if method == METHOD_BINWEIGHT:
-        if binweight_alpha is None:
-            raise InputDataError("binweight needs binweight_alpha")
         return np.where(w > binweight_alpha, w, 0.0).sum(axis=0)
     raise InputDataError(f"unknown baseline {method!r}; choose from {BASELINE_METHODS}")
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .core import InputDataError, NumericalError, TimeSeriesMatrix
 
@@ -31,6 +30,8 @@ NEGBIN = "negbin"
 # MAD-to-sigma consistency factor for a normal sample.
 _MAD_CONST = 0.6745
 DEFAULT_R_MAX = 1e4
+# Floor for S / scale: an empty span's S log(S / scale) is then 0 * finite = 0.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(eq=False)
@@ -56,15 +57,22 @@ class CostModel:
 
         Gaussian: -S^2 / len on the scaled series.  Negbin:
         -2 [S log(S / (len r + S)) + len r log(len r / (len r + S))].
-        ``k`` (0-based) selects one variate's dispersion; without it, rows of
-        ``total`` are variates.
+        ``k`` (0-based) selects one variate's dispersion; without it, the
+        last-but-one axis of ``total`` runs over variates.
         """
         if self.kind == GAUSSIAN:
             return -total * total / length
         r = self.r[:, None] if k is None else self.r[k]
         lr = length * r
         scale = lr + total
-        return -2.0 * (xlogy(total, total / scale) + lr * np.log(lr / scale))
+        out = np.divide(total, scale)
+        np.log(np.maximum(out, _TINY, out=out), out=out)
+        out *= total
+        np.log(np.divide(lr, scale, out=scale), out=scale)
+        scale *= lr
+        out += scale
+        out *= -2.0
+        return out
 
     def _split_sums(self, l: int, u: int):
         """Interval length, left lengths, full sums (d, 1) and left sums (d, u-l)."""
@@ -101,12 +109,12 @@ class CostModel:
             w = self.cusum(l, u)
             return w * w
         length, len_left, sum_full, sum_left = self._split_sums(l, u)
-        gains = (
-            self.span_cost(sum_full, length)
-            - self.span_cost(sum_left, len_left)
-            - self.span_cost(sum_full - sum_left, length - len_left)
-        )
-        return np.maximum(gains, 0.0)
+        pieces = np.stack((sum_left, sum_full - sum_left))
+        lengths = np.stack((len_left, length - len_left))[:, None, :]
+        left, right = self.span_cost(pieces, lengths)
+        gains = self.span_cost(sum_full, length) - left
+        gains -= right
+        return np.maximum(gains, 0.0, out=gains)
 
     def boundary_cost_matrix(self, i: int, bounds: np.ndarray) -> np.ndarray:
         """Costs of variate ``i`` between candidate boundaries.

@@ -33,37 +33,45 @@ def read_csv(path: str | os.PathLike) -> TimeSeriesMatrix:
         raise InputDataError(f"cannot open {path}: {exc}") from exc
     with handle:
         try:
-            parsed = _parse_fast(handle.read())
-        except ValueError:  # an undecodable byte, or a cell loadtxt rejects
-            parsed = None
-        if parsed is None:
+            parsed = _parse_fast(handle)
+        except ValueError:  # the cell parser decides, naming any bad cell
             handle.seek(0)
             parsed = _parse_cells(handle, path)
     names, labels, values = parsed
     return TimeSeriesMatrix(values=values, variate_names=names, time_labels=labels)
 
 
-def _parse_fast(text: str):
-    """(names, labels, values) of a plain file, or None when the cell parser
-    must decide.  Rows end at \r\n, \r or \n, as for ``csv``; quotes, a bad
-    header and rows (whitespace-only ones too) whose field count differs
-    from the header's are left to the cell parser, since ``loadtxt`` would
-    drop extra fields.  A cell ``loadtxt`` rejects raises ValueError."""
-    if '"' in text:
-        return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    header = lines[0].split(",")
+def _parse_fast(handle):
+    """(names, labels, values) of a plain file, streamed line by line into
+    one ``loadtxt`` call.  Raises ValueError when the cell parser must
+    decide: on a quote, a bad header, fewer than 2 rows, a row (a
+    whitespace-only one too) whose field count differs from the header's,
+    since ``loadtxt`` would drop extra fields, an undecodable byte, or a
+    cell ``loadtxt`` rejects.  A ``newline=""`` handle ends lines at \r\n,
+    \r or \n, as ``csv`` does."""
+    first = handle.readline().rstrip("\r\n")
+    header = first.split(",")
     names = tuple(h.strip() for h in header[1:])
-    rows = [line for line in lines[1:] if line]
-    if len(header) < 2 or len(set(names)) != len(names) or len(rows) < 2:
-        return None
-    if any(line.count(",") != len(names) for line in rows):
-        return None
-    labels = tuple(line[: line.index(",")].strip() for line in rows)
+    if '"' in first or len(header) < 2 or len(set(names)) != len(names):
+        raise ValueError("header left to the cell parser")
+    labels = []
+
+    def rows():
+        for line in handle:
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            if '"' in line or line.count(",") != len(names):
+                raise ValueError("row left to the cell parser")
+            labels.append(line[: line.index(",")].strip())
+            yield line
+        if len(labels) < 2:  # before loadtxt warns about an empty input
+            raise ValueError("too few rows")
+
     values = np.loadtxt(
-        rows, delimiter=",", comments=None, usecols=range(1, len(header)), ndmin=2
+        rows(), delimiter=",", comments=None, usecols=range(1, len(header)), ndmin=2
     )
-    return names, labels, values.T
+    return names, tuple(labels), values.T
 
 
 def _parse_cells(handle, path: Path):

@@ -44,6 +44,14 @@ def negbin_loglik(y, r: float, p: float) -> float:
     return float(np.sum(coef + xlogy(y, 1 - p) + r * math.log(p)))
 
 
+def negbin_span_cost(total, length, r):
+    """-2 [S log(S / (len r + S)) + len r log(len r / (len r + S))] of spans
+    with sums S, through ``xlogy``; arrays broadcast."""
+    lr = length * r
+    scale = lr + total
+    return -2.0 * (xlogy(total, total / scale) + lr * np.log(lr / scale))
+
+
 def negbin_cost(y, s: int, t: int, r: float) -> float:
     """-2 times the log-likelihood of y[s..t] at its maximizing p."""
     seg = _segment(y, s, t)

@@ -115,8 +115,6 @@ def test_aggregation_is_monotone_in_each_entry():
 def test_config_validation():
     with pytest.raises(InputDataError, match="unknown baseline"):
         BaselineConfig(method="median", threshold=1.0)
-    with pytest.raises(InputDataError, match="binweight_alpha"):
-        aggregate_cusum("binweight", np.ones((2, 3)), None)
 
 
 def test_baselines_reject_count_models():

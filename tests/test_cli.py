@@ -257,6 +257,22 @@ def test_help_and_bad_usage_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; loading it would add to start-up
+    # time and resident memory of every command.
+    src_root = Path(subsetcp.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, subsetcp.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src_root)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert not any("scipy" in dep for dep in _load_toml(PYPROJECT)["project"]["dependencies"])
+
+
 def _load_toml(path):
     if sys.version_info >= (3, 11):
         import tomllib

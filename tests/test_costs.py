@@ -5,9 +5,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from oracles import d_statistic, gaussian_cost, negbin_cost, negbin_loglik, negbin_mle_p
+from oracles import (
+    d_statistic,
+    gaussian_cost,
+    negbin_cost,
+    negbin_loglik,
+    negbin_mle_p,
+    negbin_span_cost,
+)
 from subsetcp import (
     InputDataError,
     NumericalError,
@@ -237,3 +246,56 @@ def test_boundary_costs_match_segment_costs():
             got = table[a, b] - table[a, k] - table[k, b]
             assert got == pytest.approx(direct, abs=1e-9)
         assert np.all(table[np.tril_indices(len(bounds))] == np.inf)
+
+
+@st.composite
+def _count_panels(draw):
+    """Counts up to 1e5 a cell under extreme dispersions, with all-zero
+    variates and all-zero leading spans forced in, plus an interval (l, u)."""
+    n = draw(st.integers(2, 2000))
+    d = draw(st.integers(1, 4))
+    r = np.array(draw(st.lists(st.sampled_from([1e-3, 0.5, 20.0, 1e4]), min_size=d, max_size=d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([1, 10, 1000, 10**5]))
+    y = rng.integers(0, top, size=(d, n), endpoint=True).astype(float)
+    l = draw(st.integers(1, n - 1))
+    u = draw(st.integers(l + 1, n))
+    y[:, : draw(st.one_of(st.sampled_from([0, l, u]), st.integers(0, n)))] = 0.0
+    for i in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        y[i] = 0.0
+    bounds = np.unique([0, l - 1, u, n, *draw(st.lists(st.integers(0, n), max_size=6))])
+    return y, r, l, u, bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel=_count_panels())
+def test_negbin_kernel_matches_the_xlogy_span_cost(panel):
+    # The kernel takes numpy logs where the oracle takes xlogy; both must
+    # agree to rounding relative to the span costs involved.
+    y, r, l, u, bounds = panel
+    model = negbin_model(make_matrix(y), r=r)
+    gains = model.gain_matrix(l, u)
+    length = u - l + 1
+    len_left = np.arange(1, length, dtype=float)
+    sum_full = y[:, l - 1 : u].sum(axis=1, keepdims=True)
+    sum_left = np.cumsum(y[:, l - 1 : u - 1], axis=1)
+    costs = (
+        negbin_span_cost(sum_full, length, r[:, None]),
+        negbin_span_cost(sum_left, len_left, r[:, None]),
+        negbin_span_cost(sum_full - sum_left, length - len_left, r[:, None]),
+    )
+    want = np.maximum(costs[0] - costs[1] - costs[2], 0.0)
+    tol = 1e-13 * (sum(np.abs(c) for c in costs) + 1.0)
+    assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
+    assert np.all(np.abs(gains - want) <= tol)
+
+    upper = np.triu(np.ones((len(bounds), len(bounds)), dtype=bool), k=1)
+    seg_len = (bounds[None, :] - bounds[:, None])[upper].astype(float)
+    for i in range(1, len(r) + 1):
+        cum = np.concatenate(([0.0], np.cumsum(y[i - 1])))
+        seg_sum = (cum[bounds][None, :] - cum[bounds][:, None])[upper]
+        table = model.boundary_cost_matrix(i, bounds)
+        got, want = table[upper], negbin_span_cost(seg_sum, seg_len, r[i - 1])
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(want) + 1.0))
+        assert np.all(table[~upper] == np.inf)

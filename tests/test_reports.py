@@ -169,7 +169,7 @@ def test_numpy_read_matches_the_cell_loop(text):
         path.write_text(text, newline="")
         with open(path, newline="") as handle:
             try:
-                fast = _parse_fast(handle.read())
+                fast = _parse_fast(handle)
             except ValueError:
                 fast = None
         if fast is not None:
