@@ -30,8 +30,11 @@ NEGBIN = "negbin"
 # MAD-to-sigma consistency factor for a normal sample.
 _MAD_CONST = 0.6745
 DEFAULT_R_MAX = 1e4
-# Floor for S / scale: an empty span's S log(S / scale) is then 0 * finite = 0.
-_TINY = np.finfo(float).tiny
+# Unit roundoff of float32 plus that of float64: an error bound linear in u
+# then covers a float32 result's distance from the float64 one.
+SCREEN_ROUNDOFF = 2.0**-24 + 2.0**-53
+# Cells per block of rows in ``estimate_sigma``.
+_SIGMA_BLOCK_CELLS = 2**16
 
 
 @dataclass(eq=False)
@@ -58,15 +61,17 @@ class CostModel:
         Gaussian: -S^2 / len on the scaled series.  Negbin:
         -2 [S log(S / (len r + S)) + len r log(len r / (len r + S))].
         ``k`` (0-based) selects one variate's dispersion; without it, the
-        last-but-one axis of ``total`` runs over variates.
+        last-but-one axis of ``total`` runs over variates.  Negbin costs are
+        computed in the precision of ``total``.
         """
         if self.kind == GAUSSIAN:
             return -total * total / length
-        r = self.r[:, None] if k is None else self.r[k]
-        lr = length * r
+        r = self.r.astype(total.dtype, copy=False)
+        lr = length * (r[:, None] if k is None else r[k])
         scale = lr + total
         out = np.divide(total, scale)
-        np.log(np.maximum(out, _TINY, out=out), out=out)
+        # Floor S / scale: an empty span's S log(S / scale) is then 0 * finite = 0.
+        np.log(np.maximum(out, np.finfo(out.dtype).tiny, out=out), out=out)
         out *= total
         np.log(np.divide(lr, scale, out=scale), out=scale)
         scale *= lr
@@ -74,47 +79,110 @@ class CostModel:
         out *= -2.0
         return out
 
-    def _split_sums(self, l: int, u: int):
-        """Interval length, left lengths, full sums (d, 1) and left sums (d, u-l)."""
+    def _check_interval(self, l: int, u: int) -> None:
         if not (1 <= l < u <= self.n):
             raise ValueError(f"interval ({l}, {u}) not inside 1..{self.n}")
-        base = self.cum_y[:, l - 1 : l]
-        return (
-            u - l + 1,
-            np.arange(1, u - l + 1, dtype=float),
-            self.cum_y[:, u : u + 1] - base,
-            self.cum_y[:, l:u] - base,
-        )
 
-    def cusum(self, l: int, u: int) -> np.ndarray:
+    def cusum(self, l: int, u: int, dtype=np.float64) -> np.ndarray:
         """Signed CUSUM of every variate at every split of (l, u); shape (d, u-l).
 
         Column ``t - l`` holds sqrt(left*right/length) * (right mean - left
         mean) of the sigma-scaled series; its square is the Gaussian gain.
+        ``dtype`` is the working precision; the sums are float64 differences
+        of the prefix table, rounded once to it.
         """
         if self.kind != GAUSSIAN:
             raise InputDataError("CUSUM statistics are defined for the Gaussian model only")
-        length, len_left, sum_full, sum_left = self._split_sums(l, u)
-        scale = np.sqrt(length / (len_left * (length - len_left)))
-        return (sum_full * (len_left / length) - sum_left) * scale
+        self._check_interval(l, u)
+        base = self.cum_y[:, l - 1 : l]
+        sum_left = np.subtract(self.cum_y[:, l:u], base, out=np.empty((self.d, u - l), dtype))
+        length = u - l + 1
+        len_left = np.arange(1, length, dtype=dtype)
+        w = (self.cum_y[:, u : u + 1] - base).astype(dtype, copy=False) * (len_left / length)
+        w -= sum_left
+        w *= np.sqrt(length / (len_left * (length - len_left)))
+        return w
 
-    def gain_matrix(self, l: int, u: int) -> np.ndarray:
+    def gain_matrix(self, l: int, u: int, dtype=np.float64) -> np.ndarray:
         """Split gains D for all variates and all splits of interval (l, u).
 
         Returns a (d, u-l) array whose column ``t - l`` holds, per variate,
         cost(l..u) - cost(l..t) - cost(t+1..u) for the split at ``t``.
         Gains are non-negative; negbin rounding residue is clipped at zero.
+        ``dtype`` is the working precision; the sums are float64 differences
+        of the prefix table, rounded once to it.  ``gain_error_bound``
+        bounds how far a float32 block can lie from the float64 one.
         """
         if self.kind == GAUSSIAN:
-            w = self.cusum(l, u)
-            return w * w
-        length, len_left, sum_full, sum_left = self._split_sums(l, u)
-        pieces = np.stack((sum_left, sum_full - sum_left))
-        lengths = np.stack((len_left, length - len_left))[:, None, :]
-        left, right = self.span_cost(pieces, lengths)
-        gains = self.span_cost(sum_full, length) - left
-        gains -= right
+            w = self.cusum(l, u, dtype)
+            w *= w
+            return w
+        self._check_interval(l, u)
+        # Column t - l holds the left and right sums of the split at t.  One
+        # more column holds the whole interval and an empty right piece, so
+        # one span_cost call also prices the full span.  Right lengths are
+        # the left ones reversed; the empty piece gets length u - l + 1, so
+        # its cost is 0 rather than 0 / 0.
+        pieces = np.empty((2, self.d, u - l + 1), dtype)
+        np.subtract(self.cum_y[:, l : u + 1], self.cum_y[:, l - 1 : l], out=pieces[0])
+        np.subtract(self.cum_y[:, u : u + 1], self.cum_y[:, l : u + 1], out=pieces[1])
+        len_left = np.arange(1, u - l + 2, dtype=dtype)
+        lengths = np.concatenate((len_left, len_left[-2::-1], len_left[-1:]))
+        left, right = self.span_cost(pieces, lengths.reshape(2, 1, -1))
+        gains = left[:, -1:] - left[:, :-1]
+        gains -= right[:, :-1]
         return np.maximum(gains, 0.0, out=gains)
+
+    def gain_error_bound(self, l: np.ndarray, u: np.ndarray, dense_max: np.ndarray) -> np.ndarray:
+        """Bound on sum_i |D32[i, t] - D64[i, t]| at every split t of each
+        interval (l[k], u[k]), where D32 and D64 are ``gain_matrix`` computed
+        at float32 and at float64.
+
+        ``dense_max[k]`` is the largest float32 column sum of D32 on interval
+        k.  The bound is infinite where its proof does not apply.
+
+        Both blocks start from the same float64 sums, so a bound on each
+        block's error against exact arithmetic on those sums, with unit
+        roundoff u, bounds their distance once u is ``SCREEN_ROUNDOFF``.
+        Every operation rounds once (|error| <= u |result|); numpy's float32
+        ``log`` is within 4 ulp of the exact value, so within 9u |log x|
+        (Higham 2002, ch. 3 and 4, for the model and the sums).
+
+        Negbin, one span with sum T, length L and p = T / (T + Lr): the
+        ratios carry relative error 5u (p) and 6u (1 - p), so the two terms
+        of -cost / 2 are off by at most u (T + Lr) (5p + 11 p|log p|) and
+        u (T + Lr) (6(1 - p) + 12 (1 - p)|log(1 - p)|); with their sum this
+        is at most 15.1 u (T + Lr), so a cost is off by 30.2 u (T + Lr).
+        A gain takes three costs, the whole interval's and its two pieces',
+        whose T + Lr add up to the whole's S + Lr: 60.4 u (S + Lr).  The two
+        subtractions round results no larger than the full cost, at most
+        2 ln 2 (S + Lr), and clipping at 0 adds nothing.  In all,
+        63.2 u (S + Lr) per variate at every split, taken as 64 to cover
+        second-order terms.  The proof needs normal float32
+        values, which integer counts give when r >= 2^-40, S + Lr <= 2^40
+        and n < 2^24.
+
+        Gaussian, with P_i the largest |prefix sum| of variate i, so that
+        |S| and |left sum| are at most 2 P_i: the CUSUM w is off by at most
+        u (8.9 P_i + 4 |w|), so the gain w^2 by 17.7 u P_i |w| + 9 u w^2.
+        Summed over variates with Cauchy-Schwarz, that is at most
+        18 u ||P|| sqrt(G) + 10 u G for a column sum G <= (sqrt(dense_max)
+        + 18 u ||P||)^2.  The last term, d 2^-140 (1 + sqrt G), covers
+        products that underflow.
+        """
+        if self.n >= 2**24:
+            return np.full(len(l), np.inf)
+        if self.kind == GAUSSIAN:
+            norm = math.sqrt(np.sum(np.max(np.abs(self.cum_y), axis=1) ** 2))
+            h = 18.0 * SCREEN_ROUNDOFF * norm
+            root = np.sqrt(dense_max) + h
+            bound = h * root + 10.0 * SCREEN_ROUNDOFF * root * root
+            bound += 2.0**-140 * self.d * (1.0 + root)
+            return bound if norm <= 2.0**40 else np.full(len(l), np.inf)
+        mass = self.cum_y[:, u] - self.cum_y[:, l - 1] + (u - l + 1) * self.r[:, None]
+        bound = 64.0 * SCREEN_ROUNDOFF * mass.sum(axis=0)
+        normal = (self.r.min() >= 2.0**-40) & (mass.max(axis=0) <= 2.0**40)
+        return np.where(normal, bound, np.inf)
 
     def boundary_cost_matrix(self, i: int, bounds: np.ndarray) -> np.ndarray:
         """Costs of variate ``i`` between candidate boundaries.
@@ -132,32 +200,41 @@ class CostModel:
         return np.where(upper, out, np.inf)
 
 
-def estimate_sigma(y: np.ndarray) -> float:
+def estimate_sigma(y: np.ndarray):
     """Noise scale from the median absolute deviation of first differences.
 
     Robust to mean shifts, which is why it is the default for real data.
-    Raises :class:`NumericalError` when the estimate degenerates to zero
-    (e.g. a constant series); supply sigma explicitly in that case.
+    ``y`` is one series, giving a float, or a (k, n) block of series, giving
+    k scales; a block is worked through a few rows at a time, so its
+    temporaries stay small however many rows it has.  Raises
+    :class:`NumericalError` when an estimate degenerates to zero (e.g. a
+    constant series); supply sigma explicitly in that case.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("need a 1-d series of length >= 2")
-    diffs = np.diff(y)
-    mad = np.median(np.abs(diffs - np.median(diffs)))
+    if y.ndim not in (1, 2) or y.shape[-1] < 2:
+        raise ValueError("need a 1-d series, or a 2-d block of series, of length >= 2")
+    rows = y.reshape(-1, y.shape[-1])
+    mad = np.empty(len(rows))
+    step = max(1, _SIGMA_BLOCK_CELLS // rows.shape[1])
+    for start in range(0, len(rows), step):
+        diffs = np.diff(rows[start : start + step], axis=1)
+        diffs -= np.median(diffs, axis=1, keepdims=True)
+        mad[start : start + step] = np.median(np.abs(diffs, out=diffs), axis=1)
     sigma = mad / (_MAD_CONST * math.sqrt(2.0))
-    if sigma <= 0.0:
+    if np.any(sigma <= 0.0):
         raise NumericalError(
             "scale estimate is zero (series nearly constant); pass sigma explicitly"
         )
-    return float(sigma)
+    return float(sigma[0]) if y.ndim == 1 else sigma
 
 
 def estimate_dispersion(y: np.ndarray, r_max: float = DEFAULT_R_MAX) -> float:
-    """Method-of-moments dispersion estimate r = m^2 / (v - m).
+    """Method-of-moments dispersion estimate r = m^2 / (v - m), capped at ``r_max``.
 
     Uses the n-1 variance denominator.  Under-dispersed series (v <= m)
-    return ``r_max``, which makes the model effectively Poisson.  An
-    all-zero series is one of them; its span costs and gains are all 0.
+    return ``r_max``, which makes the model effectively Poisson, and so do
+    barely over-dispersed ones whose estimate exceeds it.  An all-zero
+    series is under-dispersed; its span costs and gains are all 0.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 2:
@@ -167,7 +244,7 @@ def estimate_dispersion(y: np.ndarray, r_max: float = DEFAULT_R_MAX) -> float:
     v = float(np.var(y, ddof=1))
     if v <= m:
         return float(r_max)
-    return m * m / (v - m)
+    return min(m * m / (v - m), float(r_max))
 
 
 def _validate_counts(values: np.ndarray) -> None:
@@ -197,7 +274,7 @@ def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
     to estimate each variate's scale from first differences."""
     values = matrix.values
     if sigma is None:
-        sigma_arr = np.array([estimate_sigma(row) for row in values])
+        sigma_arr = estimate_sigma(values)
     else:
         sigma_arr = _as_per_variate(sigma, matrix.d, "sigma")
     scaled = values - values.mean(axis=1, keepdims=True)

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InputDataError, RandomSource, TimeSeriesMatrix
-from .costs import GAUSSIAN, NEGBIN, CostModel, gaussian_model, negbin_model
+from .costs import (
+    GAUSSIAN,
+    NEGBIN,
+    SCREEN_ROUNDOFF,
+    CostModel,
+    gaussian_model,
+    negbin_model,
+)
 
 
 @dataclass(frozen=True)
@@ -108,15 +115,15 @@ def _null_maxima(
     target_fp: float,
     reps: int,
     intervals: int,
-    statistic,
+    replicate_maxima,
 ) -> np.ndarray:
-    """Per-replicate maxima of ``statistic(model, l, u)`` over null datasets.
+    """Per-replicate maxima ``replicate_maxima(model, pairs)`` over null datasets.
 
     Replicate ``rep`` simulates its dataset from stream (rep, 0) and draws its
     own interval set from (rep, 1) (``intervals`` = 0 means a plain scan of
     (1, n)); intervals with a single split are skipped, as in the detector.
-    A statistic returning k values gives shape (reps, k), each maximised
-    on its own.  ``target_fp`` is only checked here, before the first draw.
+    Maxima of k values give shape (reps, k).  ``target_fp`` is only checked
+    here, before the first draw.
     """
     from .wbs import draw_intervals
 
@@ -128,8 +135,55 @@ def _null_maxima(
     for rep in range(reps):
         model = null.sample_model(n, d, rng.child(rep, 0))
         pairs = draw_intervals(n, intervals, rng.child(rep, 1)).pairs
-        maxima.append(np.max([statistic(model, l, u) for l, u in pairs if u - l > 1], axis=0))
+        maxima.append(replicate_maxima(model, [(l, u) for l, u in pairs if u - l > 1]))
     return np.array(maxima)
+
+
+def _screen_error(model: CostModel, pairs, screened: np.ndarray, alpha: float) -> np.ndarray:
+    """Bounds (k, 2) on how far each interval's float32 sparse and dense
+    maxima (``screened``) lie from the float64 ones.
+
+    On top of ``CostModel.gain_error_bound`` for the gains, alpha is rounded
+    to float32 and each D - alpha once more (u (2 alpha + D) per variate;
+    clipping at 0 adds nothing), and d non-negative terms summed in any order
+    are off by at most gamma_d = d u / (1 - d u) times their sum.  A
+    difference bounded at every split bounds the difference of the maxima.
+    """
+    l, u = np.array(pairs).T
+    sparse, dense = screened.T
+    gains = model.gain_error_bound(l, u, dense)
+    gamma = model.d * SCREEN_ROUNDOFF / (1.0 - model.d * SCREEN_ROUNDOFF)
+    return np.column_stack((
+        gains + SCREEN_ROUNDOFF * (2.0 * model.d * alpha + dense) + gamma * sparse,
+        gains + gamma * dense,
+    ))
+
+
+def _branch_maxima(model: CostModel, pairs, alpha: float) -> np.ndarray:
+    """Largest sparse and dense branch values of one dataset over ``pairs``,
+    bit-identical to a float64 scan of every interval.
+
+    At beta = K = 0 the branches are the bare sums sum(max(D - alpha, 0))
+    and sum(D).  Each interval is scanned in float32 first, giving maxima
+    m[k] within e[k] (``_screen_error``) of the float64 ones.  The interval
+    holding a branch's float64 maximum then has m[k] + e[k] >= max_j (m[j] -
+    e[j]); only intervals passing that test for either branch, or with a
+    non-finite m[k] + e[k], are rescanned in float64.
+    """
+    from .single_change import statistic_profile
+
+    branch_sums = PenaltyConfig(alpha=alpha, beta=0.0, K=0.0)
+
+    def maxima(l: int, u: int, dtype) -> tuple[float, float]:
+        profile = statistic_profile(model, branch_sums, l, u, dtype)
+        return profile.s1.max(), profile.s2.max()
+
+    screened = np.array([maxima(l, u, np.float32) for l, u in pairs], dtype=float)
+    error = _screen_error(model, pairs, screened, alpha)
+    finite = np.isfinite(screened + error)
+    floor = np.where(finite, screened - error, -np.inf).max(axis=0)
+    verify = np.flatnonzero(np.any(~finite | (screened + error >= floor), axis=1))
+    return np.max([maxima(*pairs[k], np.float64) for k in verify], axis=0)
 
 
 def _minimal_quiet_beta(sparse_max, dense_max, d: int):
@@ -162,23 +216,17 @@ def calibrate_beta(
     (``intervals`` = 0 means a plain scan of (1, n)), and finds, in closed
     form, the minimal beta at which neither branch fires on it.  The
     returned beta is the (1 - target_fp) empirical quantile of those minima;
-    alpha stays at 2 ln d and K is slaved to beta.
+    alpha stays at 2 ln d and K is slaved to beta.  A replicate's branch
+    maxima come from a float32 screen of every interval and a float64
+    rescan of the leading ones (``_branch_maxima``), and equal those of a
+    float64 scan of every interval.
     """
-    from .single_change import statistic_profile
-
     if d < 2:
         raise InputDataError("calibration needs d >= 2")
     alpha = 2.0 * math.log(d)
-    # At beta = K = 0 the detector's two branches are the bare sums
-    # sum(max(D - alpha, 0)) and sum(D).
-    branch_sums = PenaltyConfig(alpha=alpha, beta=0.0, K=0.0)
-
-    def branch_maxima(model: CostModel, l: int, u: int) -> tuple[float, float]:
-        profile = statistic_profile(model, branch_sums, l, u)
-        return profile.s1.max(), profile.s2.max()
-
     sparse_max, dense_max = _null_maxima(
-        n, d, null, rng, target_fp, reps, intervals, branch_maxima
+        n, d, null, rng, target_fp, reps, intervals,
+        lambda model, pairs: _branch_maxima(model, pairs, alpha),
     ).T
     minima = _minimal_quiet_beta(sparse_max, dense_max, d)
     beta = float(np.quantile(minima, 1.0 - target_fp, method="higher"))
@@ -212,8 +260,8 @@ def calibrate_baseline_threshold(
     if null.kind != GAUSSIAN:
         raise InputDataError("baseline calibration is defined for the Gaussian model only")
 
-    def aggregated_max(model: CostModel, l: int, u: int) -> float:
-        return baseline_statistic(model, method, l, u).max()
+    def aggregated_max(model: CostModel, pairs) -> float:
+        return np.max([baseline_statistic(model, method, l, u).max() for l, u in pairs])
 
     maxima = _null_maxima(n, d, null, rng, target_fp, reps, intervals, aggregated_max)
     return float(np.quantile(maxima, 1.0 - target_fp, method="higher"))

@@ -46,9 +46,11 @@ class StatisticProfile:
 
 
 def statistic_profile(
-    model: CostModel, penalties: PenaltyConfig, l: int, u: int
+    model: CostModel, penalties: PenaltyConfig, l: int, u: int, dtype=np.float64
 ) -> StatisticProfile:
-    gains = model.gain_matrix(l, u)
+    """Gains and both branch values at every split of (l, u), computed in
+    ``dtype``; calibration screens intervals at float32."""
+    gains = model.gain_matrix(l, u, dtype)
     thresholded = np.maximum(gains - penalties.alpha, 0.0)
     s1 = thresholded.sum(axis=0) - penalties.beta
     s2 = gains.sum(axis=0) - penalties.K

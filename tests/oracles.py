@@ -14,8 +14,17 @@ import math
 import numpy as np
 from scipy.special import erfc, gammaln, xlogy
 
-from subsetcp import GAUSSIAN, ChangeSpec, InputDataError, ScenarioSpec
+from subsetcp import (
+    GAUSSIAN,
+    ChangeSpec,
+    InputDataError,
+    PenaltyConfig,
+    ScenarioSpec,
+    draw_intervals as package_draw_intervals,
+    statistic_profile,
+)
 from subsetcp.diagnostics import variate_segments
+from subsetcp.penalties import _minimal_quiet_beta
 from subsetcp.simlab import _density_set
 
 
@@ -119,6 +128,36 @@ def minimal_quiet_beta(sparse_max: float, dense_max: float, d: int, tol: float =
         else:
             lo = mid
     return hi
+
+
+def branch_maxima(model, pairs, alpha: float) -> np.ndarray:
+    """Largest sparse and dense branch values at beta = K = 0, scanning every
+    interval with a split in float64: one calibration replicate, unscreened."""
+    branch_sums = PenaltyConfig(alpha=alpha, beta=0.0, K=0.0)
+    maxima = []
+    for l, u in pairs:
+        if u - l > 1:
+            profile = statistic_profile(model, branch_sums, l, u)
+            maxima.append((profile.s1.max(), profile.s2.max()))
+    return np.max(maxima, axis=0)
+
+
+def calibration_maxima(n: int, d: int, null, rng, reps: int, intervals: int) -> np.ndarray:
+    """Per-replicate ``branch_maxima`` (reps, 2), on the datasets and interval
+    sets that ``calibrate_beta`` draws from ``rng``."""
+    alpha = 2.0 * math.log(d)
+    maxima = []
+    for rep in range(reps):
+        model = null.sample_model(n, d, rng.child(rep, 0))
+        pairs = package_draw_intervals(n, intervals, rng.child(rep, 1)).pairs
+        maxima.append(branch_maxima(model, pairs, alpha))
+    return np.array(maxima)
+
+
+def calibrated_beta(maxima: np.ndarray, d: int, target_fp: float) -> float:
+    """The (1 - target_fp) quantile of the replicates' minimal quiet betas."""
+    minima = _minimal_quiet_beta(maxima[:, 0], maxima[:, 1], d)
+    return float(np.quantile(minima, 1.0 - target_fp, method="higher"))
 
 
 def best_partition(y, taus, alpha: float, sigma=None, r=None) -> tuple[int, ...]:

@@ -179,6 +179,22 @@ def test_calibrate_prints_the_config_deterministically(capsys):
     assert "reps=20" in lines[3]
 
 
+@pytest.mark.parametrize(
+    ("model", "beta", "K"),
+    [("gaussian", "22.822716", "40.334996"), ("negbin", "23.003214", "40.568822")],
+)
+def test_calibrate_output_is_pinned(capsys, model, beta, K):
+    args = [
+        "calibrate", "--n", "200", "--d", "4", "--reps", "20",
+        "--intervals", "50", "--model", model,
+    ]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        f"alpha=2.772589\nbeta={beta}\nK={K}\n"
+        "source=calibrated target_fp=0.05 reps=20\n"
+    )
+
+
 def test_simulate_writes_a_replicate_table(tmp_path, capsys):
     out = tmp_path / "table.tsv"
     args = [

@@ -85,6 +85,30 @@ def test_sigma_estimate_ignores_mean_shifts():
     assert abs(estimate_sigma(shifted) - 1.0) < 0.1
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    n=st.integers(2, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.sampled_from([0.0, 1e8]),
+    rounded=st.booleans(),
+)
+def test_block_sigma_estimates_equal_the_row_by_row_ones(rows, n, seed, offset, rounded):
+    # Rounded rows have repeated differences, so ties fall on the median.
+    values = offset + np.random.default_rng(seed).standard_normal((rows, n))
+    if rounded:
+        values = np.round(values * 4.0)
+    try:
+        expected = [estimate_sigma(row) for row in values]
+    except NumericalError:
+        with pytest.raises(NumericalError, match="scale estimate is zero"):
+            estimate_sigma(values)
+        return
+    block = estimate_sigma(values)
+    assert block.shape == (rows,)
+    assert block.tolist() == expected
+
+
 def test_dispersion_hand_value():
     # mean 2, variance 4 (ddof=1) -> 4 / (4 - 2) = 2
     assert estimate_dispersion(np.array([0.0, 2.0, 4.0])) == pytest.approx(2.0)
@@ -94,6 +118,16 @@ def test_dispersion_caps_underdispersed_series():
     assert estimate_dispersion(np.array([3.0, 3.0, 3.0, 4.0])) == 10_000.0
     # an all-zero series is under-dispersed too (v = m = 0)
     assert estimate_dispersion(np.zeros(10)) == 10_000.0
+
+
+def test_dispersion_caps_barely_overdispersed_series():
+    # v = m exactly, but v rounds just above m: m^2 / (v - m) is about 1.4e15
+    assert estimate_dispersion(np.array([0.0, 0.0, 0.0, 0.0, 1.0])) == 10_000.0
+    # a Poisson(20) draw with v - m = 0.0013, so m^2 / (v - m) is about 3e5
+    y = np.random.default_rng(32).poisson(20, 200).astype(float)
+    assert 0 < np.var(y, ddof=1) - np.mean(y) < 0.002
+    assert estimate_dispersion(y) == 10_000.0
+    assert estimate_dispersion(y, r_max=1e6) == pytest.approx(295121.0, rel=1e-6)
 
 
 def test_dispersion_recovers_generating_parameter():

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from oracles import minimal_quiet_beta, sparse_beta_closed_form
+from oracles import (
+    branch_maxima,
+    calibrated_beta,
+    calibration_maxima,
+    minimal_quiet_beta,
+    sparse_beta_closed_form,
+)
 from subsetcp import (
     GAUSSIAN,
     NEGBIN,
@@ -20,10 +26,15 @@ from subsetcp import (
     RandomSource,
     calibrate_beta,
     dense_cap,
+    draw_intervals,
+    gaussian_model,
+    make_matrix,
+    negbin_model,
     scan_interval,
+    statistic_profile,
     theoretical_penalties,
 )
-from subsetcp.penalties import _minimal_quiet_beta
+from subsetcp.penalties import _branch_maxima, _minimal_quiet_beta, _null_maxima, _screen_error
 
 
 def test_default_penalty_hand_values():
@@ -212,3 +223,86 @@ def test_null_model_scale_estimation_path():
     assert np.all(m_known.sigma == 2.0)
     assert not np.any(m_est.sigma == 2.0)
     assert np.all(np.abs(m_est.sigma - 2.0) < 0.5)
+
+
+@st.composite
+def _screened_datasets(draw):
+    """A cost model, its interval set and alpha = 2 ln d, as one calibration
+    replicate sees them, with the inputs that stress a float32 screen:
+    count totals above 2^24, extreme dispersions, all-zero count variates,
+    Gaussian series offset by 1e8 with estimated scales, the full interval
+    alone (intervals = 0) and intervals thousands of points long."""
+    n = draw(st.one_of(st.integers(3, 60), st.sampled_from([500, 3000])))
+    d = draw(st.integers(2, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        scale = np.array([draw(st.sampled_from([1.0, 1e3, 1e6])) for _ in range(d)])
+        values = np.floor(g.exponential(scale[:, None], (d, n)))
+        for i in draw(st.sets(st.integers(0, d - 1), max_size=d - 1)):
+            values[i] = 0.0
+        r = [draw(st.sampled_from([1e-3, 0.5, 20.0, 1e4])) for _ in range(d)]
+        model = negbin_model(make_matrix(values), r=None if draw(st.booleans()) else r)
+    else:
+        offset = draw(st.sampled_from([0.0, 1e8]))
+        values = offset + g.standard_normal((d, n)) * g.uniform(0.5, 3.0, (d, 1))
+        if draw(st.booleans()):
+            values[:, n // 2 :] += draw(st.sampled_from([0.5, 3.0]))
+        estimated = offset > 0 or draw(st.booleans())
+        model = gaussian_model(make_matrix(values), sigma=None if estimated else 1.0)
+    intervals = draw(st.sampled_from([0, 1, 5, 40]))
+    pairs = draw_intervals(n, intervals, RandomSource(draw(st.integers(0, 1000)))).pairs
+    return model, [(l, u) for l, u in pairs if u - l > 1], 2.0 * math.log(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_screened_datasets())
+def test_screened_replicate_maxima_equal_the_float64_scan(data):
+    model, pairs, alpha = data
+    screened = _branch_maxima(model, pairs, alpha)
+    assert screened.tobytes() == branch_maxima(model, pairs, alpha).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_screened_datasets())
+def test_float32_branch_values_lie_within_the_screen_bound(data):
+    model, pairs, alpha = data
+    branch_sums = PenaltyConfig(alpha=alpha, beta=0.0, K=0.0)
+    wide = [statistic_profile(model, branch_sums, l, u) for l, u in pairs]
+    narrow = [statistic_profile(model, branch_sums, l, u, np.float32) for l, u in pairs]
+    screened = np.array([(p.s1.max(), p.s2.max()) for p in narrow], dtype=float)
+    error = _screen_error(model, pairs, screened, alpha)
+    ls, us = np.array(pairs).T
+    gain_error = model.gain_error_bound(ls, us, screened[:, 1])
+    for k, (p64, p32) in enumerate(zip(wide, narrow)):
+        assert p32.gains.dtype == np.float32
+        column_error = np.abs(p32.gains.astype(float) - p64.gains).sum(axis=0)
+        assert np.all(column_error <= gain_error[k])
+        assert np.all(np.abs(p32.s1.astype(float) - p64.s1) <= error[k, 0])
+        assert np.all(np.abs(p32.s2.astype(float) - p64.s2) <= error[k, 1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(3, 150),
+    d=st.integers(2, 5),
+    intervals=st.sampled_from([0, 3, 30]),
+    null=st.sampled_from([
+        NullModel(kind=GAUSSIAN, sigma=2.0),
+        NullModel(kind=GAUSSIAN, estimate_scale=True),
+        NullModel(kind=NEGBIN, r=20.0, p=0.5),
+        NullModel(kind=NEGBIN, r=0.5, p=0.95),
+        NullModel(kind=NEGBIN, r=1e4, p=1e-4),
+    ]),
+    seed=st.integers(0, 1000),
+)
+def test_calibrated_beta_equals_the_unscreened_loop(n, d, intervals, null, seed):
+    reps, target_fp = 20, 0.1
+    expected = calibration_maxima(n, d, null, RandomSource(seed), reps, intervals)
+    alpha = 2.0 * math.log(d)
+    maxima = _null_maxima(
+        n, d, null, RandomSource(seed), target_fp, reps, intervals,
+        lambda model, pairs: _branch_maxima(model, pairs, alpha),
+    )
+    assert maxima.tobytes() == expected.tobytes()
+    pen = calibrate_beta(n, d, null, RandomSource(seed), target_fp, reps, intervals)
+    assert pen.beta == calibrated_beta(expected, d, target_fp)
