@@ -85,18 +85,14 @@ def scan_interval_baseline(
 
 
 def baseline_wbs(
-    model: CostModel,
-    config: BaselineConfig,
-    intervals: IntervalSet,
-    seed: int | None = None,
+    model: CostModel, config: BaselineConfig, intervals: IntervalSet
 ) -> SegmentationResult:
     """Wild binary segmentation driven by a baseline statistic.
 
     Same recursion as the subset detector; every detection is reported with
     all variates affected since these statistics do not localize variates.
+    The result carries no penalties: its threshold is in ``config``.
     """
-    from .penalties import PenaltyConfig
-
     if intervals.n != model.n:
         raise InputDataError(
             f"interval set drawn for n={intervals.n}, model has n={model.n}"
@@ -104,15 +100,6 @@ def baseline_wbs(
     detections = segmentation_driver(
         model.n, intervals, lambda l, u: scan_interval_baseline(model, config, l, u)
     )
-    placeholder = PenaltyConfig(
-        alpha=0.0, beta=config.threshold, K=config.threshold, source=f"baseline:{config.method}"
-    )
     return SegmentationResult(
-        detections=tuple(detections),
-        penalties=placeholder,
-        model=model.kind,
-        n=model.n,
-        d=model.d,
-        seed=seed,
-        n_intervals=intervals.m,
+        detections=tuple(detections), penalties=None, n=model.n, n_intervals=intervals.m
     )

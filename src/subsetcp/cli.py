@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from .baselines import BASELINE_METHODS
 from .core import InputDataError, NumericalError, RandomSource, TimeSeriesMatrix
-from .costs import DEFAULT_R_MAX, GAUSSIAN, gaussian_model, negbin_model
+from .costs import GAUSSIAN, NEGBIN, gaussian_model, negbin_model
 from .diagnostics import pearson_residual_correlations
 from .penalties import NullModel, PenaltyConfig, calibrate_beta
 from .postprocess import postprocess
@@ -83,24 +84,22 @@ def _resolve_penalties(args, n: int, d: int, null: NullModel, rng: RandomSource)
 def cmd_detect(args) -> int:
     matrix = read_csv(args.input)
     rng = RandomSource(args.seed)
-    if args.model == "gaussian":
+    if args.model == GAUSSIAN:
         _maybe_warn_counts(matrix)
         model = gaussian_model(matrix, sigma=_parse_sigma(args.sigma, matrix.d))
         null = NullModel(kind=GAUSSIAN, estimate_scale=args.sigma is None)
-        model_name = "gaussian"
     else:
-        model = negbin_model(matrix, r_max=args.rmax)
-        null = NullModel(kind="negbin")
-        model_name = "negbin"
+        model = negbin_model(matrix)
+        null = NullModel(kind=NEGBIN)
 
     penalties = _resolve_penalties(args, matrix.n, matrix.d, null, rng.child(0))
     intervals = draw_intervals(matrix.n, args.intervals, rng.child(1))
-    result = subset_wbs(matrix, model, penalties, intervals, seed=args.seed)
+    result = subset_wbs(matrix, model, penalties, intervals)
     if not args.no_postprocess:
         result = postprocess(model, result)
 
     _, mean_corr = pearson_residual_correlations(matrix, model, result)
-    report = build_report(matrix, result, model_name, args.seed, mean_corr)
+    report = build_report(matrix, result, args.model, args.seed, mean_corr)
     write_report(report, args.output)
     pairs_path = str(args.output)
     pairs_path = pairs_path[: -len(".json")] if pairs_path.endswith(".json") else pairs_path
@@ -150,16 +149,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    rng = RandomSource(args.seed)
-    if args.model == "gaussian":
-        null = NullModel(kind=GAUSSIAN, sigma=args.null_sigma)
-    else:
-        null = NullModel(kind="negbin", r=args.r, p=args.base_p)
+    null = NullModel(kind=args.model, r=args.r, p=args.base_p)
     penalties = calibrate_beta(
         args.n,
         args.d,
         null,
-        rng,
+        RandomSource(args.seed),
         target_fp=args.fp,
         reps=args.reps,
         intervals=args.intervals,
@@ -194,7 +189,7 @@ def cmd_benchmark(args) -> int:
 
 def _add_common_sim_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", required=True, help=f"one of {', '.join(SCENARIO_NAMES)}")
-    sub.add_argument("--model", choices=("gaussian", "negbin"), default="gaussian")
+    sub.add_argument("--model", choices=(GAUSSIAN, NEGBIN), default=GAUSSIAN)
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--n", type=int, default=1000)
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = commands.add_parser("detect", help="detect changepoints in a CSV file")
     detect.add_argument("--input", required=True)
-    detect.add_argument("--model", choices=("gaussian", "negbin"), default="gaussian")
+    detect.add_argument("--model", choices=(GAUSSIAN, NEGBIN), default=GAUSSIAN)
     detect.add_argument("--alpha", type=float, default=None)
     detect.add_argument("--beta", type=float, default=None)
     detect.add_argument("--K", type=float, default=None)
@@ -228,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--intervals", type=int, default=1000)
     detect.add_argument("--seed", type=int, default=0)
     detect.add_argument("--sigma", default=None, help="known scale, scalar or comma list")
-    detect.add_argument("--rmax", type=float, default=DEFAULT_R_MAX)
     detect.add_argument("--output", required=True)
     detect.add_argument("--no-postprocess", action="store_true")
     detect.set_defaults(func=cmd_detect)
@@ -242,12 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate = commands.add_parser("calibrate", help="Monte Carlo penalty calibration")
     calibrate.add_argument("--n", type=int, required=True)
     calibrate.add_argument("--d", type=int, required=True)
-    calibrate.add_argument("--model", choices=("gaussian", "negbin"), default="gaussian")
+    calibrate.add_argument("--model", choices=(GAUSSIAN, NEGBIN), default=GAUSSIAN)
     calibrate.add_argument("--fp", type=float, default=0.05)
     calibrate.add_argument("--reps", type=int, default=200)
     calibrate.add_argument("--intervals", type=int, default=1000)
     calibrate.add_argument("--seed", type=int, default=0)
-    calibrate.add_argument("--null-sigma", type=float, default=1.0)
     calibrate.add_argument("--r", type=float, default=20.0)
     calibrate.add_argument("--base-p", type=float, default=0.5)
     calibrate.set_defaults(func=cmd_calibrate)
@@ -264,7 +257,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # Send what is left to devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -84,12 +84,6 @@ class TimeSeriesMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def series(self, i: int) -> np.ndarray:
-        """Return variate ``i`` (1-based) as a read-only length-n vector."""
-        if not 1 <= i <= self.d:
-            raise ValueError(f"variate index {i} outside 1..{self.d}")
-        return self.values[i - 1]
-
 
 def make_matrix(
     rows: Sequence[Sequence[float]],
@@ -146,14 +140,15 @@ class Detection:
 
 @dataclass(frozen=True)
 class SegmentationResult:
-    """Full output of a detection run, sorted by changepoint location."""
+    """Detections of one run, sorted by changepoint location.
+
+    ``penalties`` is the subset detector's penalty set; baseline runs,
+    which use a threshold instead, leave it None.
+    """
 
     detections: tuple[Detection, ...]
-    penalties: "PenaltyConfig"
-    model: str
+    penalties: "PenaltyConfig | None"
     n: int
-    d: int
-    seed: int | None = None
     n_intervals: int = 0
 
     def __post_init__(self) -> None:
@@ -163,15 +158,6 @@ class SegmentationResult:
         if taus and (taus[0] < 1 or taus[-1] > self.n - 1):
             raise ValueError(f"changepoints {taus} outside 1..{self.n - 1}")
         object.__setattr__(self, "detections", tuple(self.detections))
-
-    @property
-    def changepoints(self) -> tuple[int, ...]:
-        return tuple(det.tau for det in self.detections)
-
-    def segments(self) -> list[tuple[int, int]]:
-        """Segment spans (start, end), 1-based inclusive, covering 1..n."""
-        bounds = [0, *self.changepoints, self.n]
-        return [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -184,6 +170,10 @@ class RandomSource:
 
     seed: int
     stream: tuple[int, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InputDataError(f"seed must be non-negative, got {self.seed}")
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.stream)

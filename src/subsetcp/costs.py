@@ -1,6 +1,6 @@
 """Segment costs: twice the negative maximized log-likelihood of one segment.
 
-Two models are supported.  ``gaussian_known_var`` treats each variate as
+Two models are supported.  ``gaussian`` treats each variate as
 independent Gaussian observations with known variance and a segment-wise
 mean, giving the scaled residual sum of squares.  ``negbin`` treats each
 variate as negative binomial counts with a fixed per-variate dispersion
@@ -24,12 +24,13 @@ import numpy as np
 
 from .core import InputDataError, NumericalError, TimeSeriesMatrix
 
-GAUSSIAN = "gaussian_known_var"
+GAUSSIAN = "gaussian"
 NEGBIN = "negbin"
 
 # MAD-to-sigma consistency factor for a normal sample.
 _MAD_CONST = 0.6745
-DEFAULT_R_MAX = 1e4
+# Largest dispersion ``estimate_dispersion`` returns: a near-Poisson model.
+R_MAX = 1e4
 # Unit roundoff of float32 plus that of float64: an error bound linear in u
 # then covers a float32 result's distance from the float64 one.
 SCREEN_ROUNDOFF = 2.0**-24 + 2.0**-53
@@ -228,11 +229,11 @@ def estimate_sigma(y: np.ndarray):
     return float(sigma[0]) if y.ndim == 1 else sigma
 
 
-def estimate_dispersion(y: np.ndarray, r_max: float = DEFAULT_R_MAX) -> float:
-    """Method-of-moments dispersion estimate r = m^2 / (v - m), capped at ``r_max``.
+def estimate_dispersion(y: np.ndarray) -> float:
+    """Method-of-moments dispersion estimate r = m^2 / (v - m), capped at ``R_MAX``.
 
     Uses the n-1 variance denominator.  Under-dispersed series (v <= m)
-    return ``r_max``, which makes the model effectively Poisson, and so do
+    return ``R_MAX``, which makes the model effectively Poisson, and so do
     barely over-dispersed ones whose estimate exceeds it.  An all-zero
     series is under-dispersed; its span costs and gains are all 0.
     """
@@ -243,8 +244,8 @@ def estimate_dispersion(y: np.ndarray, r_max: float = DEFAULT_R_MAX) -> float:
     m = float(np.mean(y))
     v = float(np.var(y, ddof=1))
     if v <= m:
-        return float(r_max)
-    return min(m * m / (v - m), float(r_max))
+        return R_MAX
+    return min(m * m / (v - m), R_MAX)
 
 
 def _validate_counts(values: np.ndarray) -> None:
@@ -289,7 +290,7 @@ def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
     )
 
 
-def negbin_model(matrix: TimeSeriesMatrix, r=None, r_max: float = DEFAULT_R_MAX) -> CostModel:
+def negbin_model(matrix: TimeSeriesMatrix, r=None) -> CostModel:
     """Negative binomial cost model for count matrices.
 
     Dispersion is fixed per variate: supplied directly via ``r`` or
@@ -298,7 +299,7 @@ def negbin_model(matrix: TimeSeriesMatrix, r=None, r_max: float = DEFAULT_R_MAX)
     values = matrix.values
     _validate_counts(values)
     if r is None:
-        r_arr = np.array([estimate_dispersion(row, r_max=r_max) for row in values])
+        r_arr = np.array([estimate_dispersion(row) for row in values])
     else:
         r_arr = _as_per_variate(r, matrix.d, "r")
     return CostModel(

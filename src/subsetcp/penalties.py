@@ -42,9 +42,7 @@ class PenaltyConfig:
             raise ValueError("alpha and beta must be non-negative")
         if self.K < self.beta:
             raise ValueError(f"K ({self.K}) must be at least beta ({self.beta})")
-        if self.source not in ("manual", "theoretical", "calibrated") and not self.source.startswith(
-            "baseline:"
-        ):
+        if self.source not in ("manual", "theoretical", "calibrated"):
             raise ValueError(f"unknown penalty source {self.source!r}")
 
 
@@ -53,19 +51,19 @@ def dense_cap(beta: float, d: int) -> float:
     return beta + d + math.sqrt(2.0 * beta * d)
 
 
-def theoretical_penalties(n: int, d: int, J: float = 2.0, eps: float = 0.1) -> PenaltyConfig:
+def theoretical_penalties(n: int, d: int, J: float = 2.0) -> PenaltyConfig:
     """Penalties with an asymptotic false-alarm guarantee.
 
-    alpha = 2 ln d, beta = (J + eps) ln n, K = beta + d + sqrt(2*beta*d).
+    alpha = 2 ln d, beta = (J + 0.1) ln n, K = beta + d + sqrt(2*beta*d).
     Requires d >= 2; for a single variate supply penalties manually.
     """
     if n < 2:
         raise InputDataError(f"series length must be >= 2, got {n}")
     if d < 2:
         raise InputDataError("theoretical penalties need d >= 2; set penalties manually for d=1")
-    if J <= 0 or eps <= 0:
-        raise InputDataError("J and eps must be positive")
-    beta = (J + eps) * math.log(n)
+    if J <= 0:
+        raise InputDataError("J must be positive")
+    beta = (J + 0.1) * math.log(n)
     return PenaltyConfig(
         alpha=2.0 * math.log(d),
         beta=beta,
@@ -78,14 +76,14 @@ def theoretical_penalties(n: int, d: int, J: float = 2.0, eps: float = 0.1) -> P
 class NullModel:
     """No-change data model used for calibration draws.
 
-    Gaussian nulls are standard normal scaled by ``sigma``; when
+    Gaussian nulls are standard normal: the detector divides each variate
+    by its scale, so the noise scale cannot move a calibrated penalty.  When
     ``estimate_scale`` is set the procedure re-estimates each variate's
     scale exactly as the detection pipeline would.  Count nulls draw
     Neg-Bin(r, p) and always re-estimate dispersion, matching the pipeline.
     """
 
     kind: str = GAUSSIAN
-    sigma: float = 1.0
     estimate_scale: bool = False
     r: float = 20.0
     p: float = 0.5
@@ -93,18 +91,17 @@ class NullModel:
     def __post_init__(self) -> None:
         if self.kind not in (GAUSSIAN, NEGBIN):
             raise InputDataError(f"unknown model kind {self.kind!r}")
-        if self.sigma <= 0 or self.r <= 0 or not 0 < self.p < 1:
-            raise InputDataError("null model needs sigma > 0, r > 0, p in (0, 1)")
+        if not (0 < self.r < math.inf and 0 < self.p < 1):
+            raise InputDataError("null model needs a finite r > 0 and p in (0, 1)")
 
     def sample_model(self, n: int, d: int, rng: RandomSource) -> CostModel:
         g = rng.generator()
+        names = tuple(f"x{i}" for i in range(1, d + 1))
         if self.kind == GAUSSIAN:
-            values = self.sigma * g.standard_normal((d, n))
-            matrix = TimeSeriesMatrix(values, tuple(f"x{i}" for i in range(1, d + 1)))
-            return gaussian_model(matrix, sigma=None if self.estimate_scale else self.sigma)
+            matrix = TimeSeriesMatrix(g.standard_normal((d, n)), names)
+            return gaussian_model(matrix, sigma=None if self.estimate_scale else 1.0)
         values = g.negative_binomial(self.r, self.p, size=(d, n)).astype(float)
-        matrix = TimeSeriesMatrix(values, tuple(f"x{i}" for i in range(1, d + 1)))
-        return negbin_model(matrix)
+        return negbin_model(TimeSeriesMatrix(values, names))
 
 
 def _null_maxima(

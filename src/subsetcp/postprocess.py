@@ -82,9 +82,6 @@ def postprocess(model: CostModel, result: SegmentationResult) -> SegmentationRes
     return SegmentationResult(
         detections=tuple(kept),
         penalties=result.penalties,
-        model=result.model,
         n=result.n,
-        d=result.d,
-        seed=result.seed,
         n_intervals=result.n_intervals,
     )

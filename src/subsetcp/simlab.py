@@ -69,8 +69,8 @@ class ChangeSpec:
     def __post_init__(self) -> None:
         if not self.affected:
             raise InputDataError("a change must affect at least one variate")
-        if self.delta == 0:
-            raise InputDataError("a change must have a non-zero shift")
+        if self.delta == 0 or not math.isfinite(self.delta):
+            raise InputDataError(f"a change needs a finite non-zero shift, got {self.delta}")
         object.__setattr__(self, "affected", tuple(sorted(set(self.affected))))
 
 
@@ -99,12 +99,14 @@ class ScenarioSpec:
                 raise InputDataError(
                     f"change at {ch.tau} names variate {ch.affected[-1]} but d={self.d}"
                 )
-        if self.negbin_r <= 0 or not 0 < self.negbin_p < 1:
-            raise InputDataError("count scenarios need r > 0 and base p in (0, 1)")
-        if self.model == NEGBIN:
+        if not (0 < self.negbin_r < math.inf and 0 < self.negbin_p < 1):
+            raise InputDataError("count scenarios need a finite r > 0 and base p in (0, 1)")
+        with np.errstate(over="ignore"):
             signal = signal_matrix(self)
-            if np.any(signal <= 0) or np.any(signal >= 1):
-                raise InputDataError("planted shifts push success probability outside (0, 1)")
+        if not np.all(np.isfinite(signal)):
+            raise InputDataError("planted shifts overflow the signal")
+        if self.model == NEGBIN and (np.any(signal <= 0) or np.any(signal >= 1)):
+            raise InputDataError("planted shifts push success probability outside (0, 1)")
 
 
 def _density_set(density: float, d: int) -> tuple[int, ...]:
@@ -121,7 +123,7 @@ def _resolve_set(spec, d: int) -> tuple[int, ...]:
 
 def scenario(
     name: str,
-    model: str = "gaussian",
+    model: str = GAUSSIAN,
     n: int = 1000,
     d: int | None = None,
     delta: float = 1.0,
@@ -143,9 +145,8 @@ def scenario(
         raise InputDataError(
             f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}"
         )
-    if model not in ("gaussian", "negbin"):
-        raise InputDataError(f"model must be 'gaussian' or 'negbin', got {model!r}")
-    model = GAUSSIAN if model == "gaussian" else NEGBIN
+    if model not in (GAUSSIAN, NEGBIN):
+        raise InputDataError(f"model must be {GAUSSIAN!r} or {NEGBIN!r}, got {model!r}")
     if name in _DENSITY_SCENARIOS:
         if model != GAUSSIAN:
             raise InputDataError("density scenarios A..E are Gaussian layouts")
@@ -373,11 +374,11 @@ def run_experiment(
         model = fit_model(matrix, spec)
         interval_set = draw_intervals(spec.n, detector.intervals, rng.child(1, rep, 1))
         if detector.method == "subset":
-            result = subset_wbs(matrix, model, penalties, interval_set, seed=rep)
+            result = subset_wbs(matrix, model, penalties, interval_set)
             if detector.run_postprocess:
                 result = postprocess(model, result)
         else:
-            result = baseline_wbs(model, config, interval_set, seed=rep)
+            result = baseline_wbs(model, config, interval_set)
         metrics = evaluate(result, truth, spec.n, spec.d, surge=spec.surge)
         runs.append((result, truth))
         rows.append(

@@ -36,11 +36,6 @@ class StatisticProfile:
     s2: np.ndarray
 
     @property
-    def splits(self) -> np.ndarray:
-        l, u = self.interval
-        return np.arange(l, u)
-
-    @property
     def s(self) -> np.ndarray:
         return np.maximum(self.s1, self.s2)
 

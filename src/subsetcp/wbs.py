@@ -102,7 +102,6 @@ def subset_wbs(
     model: CostModel,
     penalties: PenaltyConfig,
     intervals: IntervalSet,
-    seed: int | None = None,
 ) -> SegmentationResult:
     """Detect multiple changepoints by recursive interval scanning."""
     if intervals.n != matrix.n:
@@ -115,9 +114,6 @@ def subset_wbs(
     return SegmentationResult(
         detections=tuple(detections),
         penalties=penalties,
-        model=model.kind,
         n=matrix.n,
-        d=matrix.d,
-        seed=seed,
         n_intervals=intervals.m,
     )

@@ -130,7 +130,7 @@ def test_candidate_partition_matches_exhaustive_search():
 def test_calibrated_penalties_hit_the_target_rate_on_fresh_nulls():
     start = time.perf_counter()
     n, d = 200, 20
-    null = NullModel(kind=GAUSSIAN, sigma=1.0)
+    null = NullModel(kind=GAUSSIAN)
     src = RandomSource(seed=7)
     pen = calibrate_beta(n, d, null, src.child(0), target_fp=0.05, reps=500, intervals=0)
     hits = 0
@@ -148,8 +148,8 @@ def test_calibrated_penalties_hit_the_target_rate_on_fresh_nulls():
 def test_theoretical_penalties_are_conservative_on_null_scans():
     start = time.perf_counter()
     n, d = 200, 20
-    pen = theoretical_penalties(n, d, J=2.0, eps=0.1)
-    null = NullModel(kind=GAUSSIAN, sigma=1.0)
+    pen = theoretical_penalties(n, d, J=2.0)
+    null = NullModel(kind=GAUSSIAN)
     src = RandomSource(seed=2)
     hits = 0
     for rep in range(500):
@@ -205,7 +205,7 @@ def test_count_scenarios_show_power_and_the_low_dispersion_limit():
 def test_power_ordering_across_signal_density():
     start = time.perf_counter()
     n = d = 200
-    null = NullModel(kind=GAUSSIAN, sigma=1.0)
+    null = NullModel(kind=GAUSSIAN)
     src = RandomSource(seed=8)
     pen = calibrate_beta(n, d, null, src.child(0), target_fp=0.05, reps=500, intervals=0)
     thresholds = {
@@ -301,7 +301,7 @@ def test_dense_and_sparse_labels_on_a_count_panel():
         matrix, truth = generate(spec, src.child(1, seed, 0))
         model = negbin_model(matrix)
         intervals = draw_intervals(n, 200, src.child(1, seed, 1))
-        result = postprocess(model, subset_wbs(matrix, model, pen, intervals, seed=seed))
+        result = postprocess(model, subset_wbs(matrix, model, pen, intervals))
         nearest = {}
         for ch in truth:
             close = [det for det in result.detections if abs(det.tau - ch.tau) <= tol]

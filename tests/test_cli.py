@@ -86,6 +86,67 @@ def test_detect_output_is_bit_identical_for_a_fixed_seed(tmp_path, capsys):
     ).read_text()
 
 
+def _gaussian_csv(tmp_path):
+    rng = np.random.default_rng(230)
+    y = 2.0 * rng.standard_normal((4, 100))
+    y[:2, 50:] += 3.0
+    lines = ["time,a,b,c,d"] + [
+        f"{t + 1}," + ",".join(f"{v:.3f}" for v in y[:, t]) for t in range(100)
+    ]
+    path = tmp_path / "gauss.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _pinned_report(n, d, model, alpha, beta, K, seed, intervals, tau, affected, stat, corr):
+    report = {
+        "n": n,
+        "d": d,
+        "model": model,
+        "penalties": {"alpha": alpha, "beta": beta, "K": K, "source": "calibrated"},
+        "seed": seed,
+        "intervals": intervals,
+        "detections": [
+            {
+                "tau": tau,
+                "time_label": str(tau),
+                "kind": "sparse",
+                "affected": affected,
+                "statistic": stat,
+            }
+        ],
+        "diagnostics": {"mean_residual_correlation": corr},
+    }
+    return json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("model", ["gaussian", "negbin"])
+def test_detect_output_is_pinned(tmp_path, capsys, model):
+    # Gaussian: scales estimated from the data, beta calibrated.
+    out = tmp_path / "report.json"
+    if model == "gaussian":
+        args = [
+            "detect", "--input", str(_gaussian_csv(tmp_path)), "--calib-reps", "20",
+            "--intervals", "40", "--seed", "3", "--output", str(out),
+        ]
+        want = _pinned_report(
+            100, 4, "gaussian", 2.772588722239781, 18.146885545115083, 34.19574791302853,
+            3, 40, 50, ["a", "b"], 71.63755579566947, 0.004054667271816363,
+        )
+        pairs = "tau,variate\n50,a\n50,b\n"
+    else:
+        args = _detect_args(_count_csv(tmp_path), out)
+        want = _pinned_report(
+            80, 2, "negbin", 1.3862943611198906, 13.2122005698833, 22.48191874045451,
+            11, 60, 40, ["a"], 35.18983075729375, -0.11283750757753969,
+        )
+        pairs = "tau,variate\n40,a\n"
+    assert main(args) == 0
+    capsys.readouterr()
+    assert out.read_text() == want
+    assert (tmp_path / "report.pairs.csv").read_text() == pairs
+
+
 def test_detect_warns_when_counts_are_fit_with_the_gaussian_model(tmp_path, capsys):
     csv_path = _count_csv(tmp_path)
     out = tmp_path / "report.json"
@@ -258,6 +319,65 @@ def test_impossible_count_scenario_fails_before_calibrating(monkeypatch, capsys)
         "error: planted shifts push success probability outside (0, 1)"
         in capsys.readouterr().err
     )
+
+
+def _small_runs(tmp_path):
+    """One quick invocation of each subcommand, without --seed."""
+    sim = ["--scenario", "Aprime", "--n", "100", "--reps", "1", "--calib-reps", "20",
+           "--intervals", "10"]
+    return {
+        "detect": ["detect", "--input", str(_count_csv(tmp_path)), "--model", "negbin",
+                   "--calib-reps", "20", "--intervals", "10",
+                   "--output", str(tmp_path / "r.json")],
+        "calibrate": ["calibrate", "--n", "100", "--d", "3", "--reps", "20", "--intervals", "10"],
+        "simulate": ["simulate", *sim],
+        "benchmark": ["benchmark", *sim, "--methods", "mean"],
+    }
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_negative_seed_fails_with_a_message(tmp_path, capsys, command):
+    assert main([*_small_runs(tmp_path)[command], "--seed", "-1"]) == 1
+    assert "error: seed must be non-negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["calibrate", "--n", "100", "--d", "3", "--model", "negbin", "--r", "nan"], "finite r"),
+        (["simulate", "--scenario", "Aprime", "--model", "negbin", "--r", "inf"], "finite r"),
+        (["simulate", "--scenario", "Aprime", "--model", "negbin", "--dp", "nan"], "non-zero"),
+        (["simulate", "--scenario", "Aprime", "--n", "300", "--delta", "inf"], "non-zero"),
+    ],
+)
+def test_non_finite_model_parameters_fail_before_sampling(monkeypatch, capsys, args, message):
+    def no_draws(*args):
+        raise AssertionError("a null dataset was sampled")
+
+    monkeypatch.setattr(subsetcp.NullModel, "sample_model", no_draws)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    args = _small_runs(tmp_path)["benchmark"]
+    src_root = Path(subsetcp.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "subsetcp.cli", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src_root)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_help_and_bad_usage_exit_codes(capsys):

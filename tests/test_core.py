@@ -52,16 +52,6 @@ def test_matrix_values_are_read_only():
     assert m2.values[0, 0] == 1.0
 
 
-def test_series_is_one_based():
-    m = make_matrix([[1, 2], [3, 4]], names=("lo", "hi"))
-    assert m.series(1).tolist() == [1.0, 2.0]
-    assert m.series(2).tolist() == [3.0, 4.0]
-    with pytest.raises(ValueError):
-        m.series(0)
-    with pytest.raises(ValueError):
-        m.series(3)
-
-
 def test_detection_validation():
     det = Detection(tau=5, kind="sparse", affected=frozenset({2}), statistic=1.5, interval=(1, 10))
     assert det.tau == 5
@@ -81,19 +71,17 @@ def _det(tau: int) -> Detection:
 
 
 def test_result_requires_increasing_changepoints():
-    ok = SegmentationResult(detections=(_det(3), _det(9)), penalties=PEN, model="gaussian", n=100, d=1)
-    assert ok.changepoints == (3, 9)
+    ok = SegmentationResult(detections=(_det(3), _det(9)), penalties=PEN, n=100)
+    assert [det.tau for det in ok.detections] == [3, 9]
     with pytest.raises(ValueError, match="increasing"):
-        SegmentationResult(detections=(_det(9), _det(3)), penalties=PEN, model="gaussian", n=100, d=1)
+        SegmentationResult(detections=(_det(9), _det(3)), penalties=PEN, n=100)
     with pytest.raises(ValueError, match="increasing"):
-        SegmentationResult(detections=(_det(3), _det(3)), penalties=PEN, model="gaussian", n=100, d=1)
+        SegmentationResult(detections=(_det(3), _det(3)), penalties=PEN, n=100)
 
 
-def test_segments_cover_whole_series():
-    res = SegmentationResult(detections=(_det(3), _det(9)), penalties=PEN, model="gaussian", n=12, d=1)
-    assert res.segments() == [(1, 3), (4, 9), (10, 12)]
-    empty = SegmentationResult(detections=(), penalties=PEN, model="gaussian", n=12, d=1)
-    assert empty.segments() == [(1, 12)]
+def test_random_source_rejects_negative_seeds():
+    with pytest.raises(InputDataError, match="non-negative"):
+        RandomSource(-1)
 
 
 def test_random_source_is_reproducible():

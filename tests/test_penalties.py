@@ -38,7 +38,7 @@ from subsetcp.penalties import _branch_maxima, _minimal_quiet_beta, _null_maxima
 
 
 def test_default_penalty_hand_values():
-    pen = theoretical_penalties(1000, 12, J=2.0, eps=0.1)
+    pen = theoretical_penalties(1000, 12, J=2.0)
     assert pen.alpha == pytest.approx(2 * math.log(12), abs=1e-12)
     assert pen.alpha == pytest.approx(4.969813299576001, abs=1e-12)
     assert pen.beta == pytest.approx(2.1 * math.log(1000), abs=1e-12)
@@ -95,8 +95,16 @@ def test_sparse_threshold_grows_with_series_length():
     assert betas[0] < betas[1] < betas[2]
 
 
+def test_null_model_rejects_non_finite_parameters():
+    for r in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(InputDataError, match="finite r"):
+            NullModel(kind=NEGBIN, r=r)
+    with pytest.raises(InputDataError, match="p in"):
+        NullModel(kind=NEGBIN, p=float("nan"))
+
+
 def test_calibration_input_validation():
-    null = NullModel(kind=GAUSSIAN, sigma=1.0)
+    null = NullModel(kind=GAUSSIAN)
     rng = RandomSource(0)
     with pytest.raises(InputDataError, match="replicates"):
         calibrate_beta(100, 5, null, rng, reps=10)
@@ -107,7 +115,7 @@ def test_calibration_input_validation():
 
 
 def test_calibration_is_reproducible():
-    null = NullModel(kind=GAUSSIAN, sigma=1.0)
+    null = NullModel(kind=GAUSSIAN)
     a = calibrate_beta(80, 4, null, RandomSource(5), target_fp=0.1, reps=25, intervals=10)
     b = calibrate_beta(80, 4, null, RandomSource(5), target_fp=0.1, reps=25, intervals=10)
     assert a == b
@@ -118,7 +126,7 @@ def test_calibration_is_reproducible():
 
 
 def test_calibrated_threshold_hits_target_on_fresh_nulls():
-    null = NullModel(kind=GAUSSIAN, sigma=1.0)
+    null = NullModel(kind=GAUSSIAN)
     src = RandomSource(206)
     pen = calibrate_beta(100, 5, null, src.child(0), target_fp=0.1, reps=50, intervals=0)
     hits = sum(
@@ -216,13 +224,13 @@ def test_closed_form_quiet_beta_is_quiet_and_minimal(sparse_max, dense_max, d):
 
 def test_null_model_scale_estimation_path():
     src = RandomSource(12)
-    known = NullModel(kind=GAUSSIAN, sigma=2.0)
-    estimated = NullModel(kind=GAUSSIAN, sigma=2.0, estimate_scale=True)
+    known = NullModel(kind=GAUSSIAN)
+    estimated = NullModel(kind=GAUSSIAN, estimate_scale=True)
     m_known = known.sample_model(400, 2, src.child(0))
     m_est = estimated.sample_model(400, 2, src.child(0))
-    assert np.all(m_known.sigma == 2.0)
-    assert not np.any(m_est.sigma == 2.0)
-    assert np.all(np.abs(m_est.sigma - 2.0) < 0.5)
+    assert np.all(m_known.sigma == 1.0)
+    assert not np.any(m_est.sigma == 1.0)
+    assert np.all(np.abs(m_est.sigma - 1.0) < 0.25)
 
 
 @st.composite
@@ -287,7 +295,7 @@ def test_float32_branch_values_lie_within_the_screen_bound(data):
     d=st.integers(2, 5),
     intervals=st.sampled_from([0, 3, 30]),
     null=st.sampled_from([
-        NullModel(kind=GAUSSIAN, sigma=2.0),
+        NullModel(kind=GAUSSIAN),
         NullModel(kind=GAUSSIAN, estimate_scale=True),
         NullModel(kind=NEGBIN, r=20.0, p=0.5),
         NullModel(kind=NEGBIN, r=0.5, p=0.95),

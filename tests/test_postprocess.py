@@ -108,9 +108,7 @@ def test_postprocess_reassigns_variates_to_their_own_changes():
             ),
         ),
         penalties=_pen(4.0),
-        model="gaussian",
         n=120,
-        d=3,
     )
     cleaned = postprocess(model, raw)
     assert [det.tau for det in cleaned.detections] == [40, 80]
@@ -142,9 +140,7 @@ def test_postprocess_drops_candidates_no_variate_wants():
             ),
         ),
         penalties=_pen(3.0),
-        model="gaussian",
         n=100,
-        d=2,
     )
     cleaned = postprocess(model, raw)
     assert [det.tau for det in cleaned.detections] == [50]
@@ -168,10 +164,7 @@ def test_postprocess_keeps_labels_statistics_and_metadata():
             ),
         ),
         penalties=_pen(2.5),
-        model="gaussian",
         n=80,
-        d=2,
-        seed=11,
         n_intervals=40,
     )
     cleaned = postprocess(model, raw)
@@ -179,7 +172,6 @@ def test_postprocess_keeps_labels_statistics_and_metadata():
     assert det.kind == "dense"
     assert det.statistic == 123.0
     assert det.interval == (1, 80)
-    assert cleaned.seed == 11
     assert cleaned.n_intervals == 40
     assert cleaned.penalties == raw.penalties
 
@@ -187,9 +179,7 @@ def test_postprocess_keeps_labels_statistics_and_metadata():
 def test_postprocess_without_candidates_is_a_no_op():
     matrix = make_matrix([[0.0, 1.0, 0.0, 1.0]])
     model = gaussian_model(matrix, sigma=1.0)
-    raw = SegmentationResult(
-        detections=(), penalties=_pen(1.0), model="gaussian", n=4, d=1
-    )
+    raw = SegmentationResult(detections=(), penalties=_pen(1.0), n=4)
     assert postprocess(model, raw) is raw
 
 
@@ -210,9 +200,7 @@ def test_huge_alpha_empties_the_result():
             ),
         ),
         penalties=_pen(1e9),
-        model="gaussian",
         n=60,
-        d=2,
     )
     assert postprocess(model, raw).detections == ()
 

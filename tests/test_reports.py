@@ -40,10 +40,8 @@ def _pen() -> PenaltyConfig:
     return PenaltyConfig(alpha=1.5, beta=4.0, K=9.0, source="manual")
 
 
-def _null_result(n, d, model="gaussian_known_var") -> SegmentationResult:
-    return SegmentationResult(
-        detections=(), penalties=_pen(), model=model, n=n, d=d
-    )
+def _null_result(n) -> SegmentationResult:
+    return SegmentationResult(detections=(), penalties=_pen(), n=n)
 
 
 # --- CSV input ---------------------------------------------------------------
@@ -206,10 +204,7 @@ def _report_fixture():
             ),
         ),
         penalties=_pen(),
-        model="gaussian_known_var",
         n=4,
-        d=2,
-        seed=3,
         n_intervals=10,
     )
     return matrix, result
@@ -247,9 +242,7 @@ def test_report_uses_time_labels_when_present():
             ),
         ),
         penalties=_pen(),
-        model="gaussian_known_var",
         n=4,
-        d=1,
     )
     report = build_report(matrix, result, "gaussian", seed=0, mean_residual_correlation=0.0)
     assert report.detections[0].time_label == "t2"
@@ -279,9 +272,7 @@ def test_pairs_csv_lists_each_assignment(tmp_path):
             ),
         ),
         penalties=_pen(),
-        model="gaussian_known_var",
         n=4,
-        d=2,
     )
     path = tmp_path / "pairs.csv"
     write_pairs_csv(result, matrix, path)
@@ -314,9 +305,7 @@ def _two_change_result(n):
             ),
         ),
         penalties=_pen(),
-        model="gaussian_known_var",
         n=n,
-        d=3,
     )
 
 
@@ -359,7 +348,7 @@ def test_independent_variates_have_small_residual_correlation():
     matrix = make_matrix(rng.standard_normal((4, 500)))
     model = gaussian_model(matrix, sigma=1.0)
     corr, mean_off = pearson_residual_correlations(
-        matrix, model, _null_result(500, 4)
+        matrix, model, _null_result(500)
     )
     assert corr.shape == (4, 4)
     assert np.allclose(np.diag(corr), 1.0)
@@ -372,7 +361,7 @@ def test_shared_factor_shows_up_as_residual_correlation():
     values = np.vstack([factor + 0.3 * rng.standard_normal(500) for _ in range(3)])
     matrix = make_matrix(values)
     model = gaussian_model(matrix, sigma=1.0)
-    _, mean_off = pearson_residual_correlations(matrix, model, _null_result(500, 3))
+    _, mean_off = pearson_residual_correlations(matrix, model, _null_result(500))
     assert mean_off > 0.5
 
 
@@ -380,7 +369,7 @@ def test_single_variate_correlation_is_defined_as_zero():
     rng = np.random.default_rng(211)
     matrix = make_matrix(rng.standard_normal((1, 50)))
     model = gaussian_model(matrix, sigma=1.0)
-    corr, mean_off = pearson_residual_correlations(matrix, model, _null_result(50, 1))
+    corr, mean_off = pearson_residual_correlations(matrix, model, _null_result(50))
     assert corr.shape == (1, 1)
     assert mean_off == 0.0
 
@@ -390,7 +379,7 @@ def test_constant_residuals_raise_with_variate_index():
     matrix = make_matrix(values)
     model = gaussian_model(matrix, sigma=1.0)
     with pytest.raises(NumericalError, match=r"variates \['x1'\]"):
-        pearson_residual_correlations(matrix, model, _null_result(50, 2))
+        pearson_residual_correlations(matrix, model, _null_result(50))
 
 
 def test_count_model_residuals_standardize_on_null_data():
@@ -403,9 +392,7 @@ def test_count_model_residuals_standardize_on_null_data():
     result = SegmentationResult(
         detections=(),
         penalties=theoretical_penalties(2000, 3),
-        model="negbin",
         n=2000,
-        d=3,
     )
     resid = pearson_residuals(matrix, model, result)
     assert abs(resid.mean()) < 0.1
@@ -415,7 +402,7 @@ def test_count_model_residuals_standardize_on_null_data():
 def test_count_residual_scale_matches_the_formula():
     counts = make_matrix([[1.0, 2.0, 3.0, 1.0, 2.0, 30.0, 28.0, 35.0]])
     model = negbin_model(counts)
-    result = _null_result(8, 1, model="negbin")
+    result = _null_result(8)
     resid = pearson_residuals(counts, model, result)
     row = counts.values[0]
     mu = row.mean()

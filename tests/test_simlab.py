@@ -33,10 +33,8 @@ def _pen() -> PenaltyConfig:
     return PenaltyConfig(alpha=1.0, beta=1.0, K=2.0, source="manual")
 
 
-def _result(n, d, dets) -> SegmentationResult:
-    return SegmentationResult(
-        detections=tuple(dets), penalties=_pen(), model="gaussian", n=n, d=d
-    )
+def _result(n, dets) -> SegmentationResult:
+    return SegmentationResult(detections=tuple(dets), penalties=_pen(), n=n)
 
 
 def _det(tau, kind="dense", affected=frozenset({1}), n=1000):
@@ -151,6 +149,14 @@ def test_spec_validation():
         ChangeSpec(5, (), 1.0)
     with pytest.raises(InputDataError, match="non-zero"):
         ChangeSpec(5, (1,), 0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputDataError, match="finite non-zero"):
+            ChangeSpec(5, (1,), bad)
+        with pytest.raises(InputDataError, match="finite r"):
+            ScenarioSpec(model=NEGBIN, n=10, d=2, changes=(), negbin_r=abs(bad))
+    huge = (ChangeSpec(3, (1,), 1e308), ChangeSpec(6, (1,), 1e308))
+    with pytest.raises(InputDataError, match="overflow"):
+        ScenarioSpec(model=GAUSSIAN, n=10, d=2, changes=huge)
     assert ChangeSpec(5, (7, 1, 7), 1.0).affected == (1, 7)
 
 
@@ -215,17 +221,17 @@ def test_matching_window_grows_logarithmically():
 
 def test_evaluate_counts_misses_and_false_alarms():
     truth = (ChangeSpec(600, (1,), 1.0),)
-    hit = evaluate(_result(1000, 3, [_det(605)]), truth, 1000, 3)
+    hit = evaluate(_result(1000, [_det(605)]), truth, 1000, 3)
     assert hit.avg_missed == 0.0
     assert hit.avg_false_alarms == 0.0
     assert hit.type2_rate == 0.0
 
-    extra = evaluate(_result(1000, 3, [_det(400), _det(605)]), truth, 1000, 3)
+    extra = evaluate(_result(1000, [_det(400), _det(605)]), truth, 1000, 3)
     assert extra.avg_missed == 0.0
     assert extra.avg_false_alarms == 1.0
     assert extra.location_histogram == {400: 1, 605: 1}
 
-    blank = evaluate(_result(1000, 3, []), truth, 1000, 3)
+    blank = evaluate(_result(1000, []), truth, 1000, 3)
     assert blank.avg_missed == 1.0
     assert blank.type2_rate == 1.0
 
@@ -233,12 +239,12 @@ def test_evaluate_counts_misses_and_false_alarms():
 def test_evaluate_scores_sparse_affected_sets():
     truth = (ChangeSpec(100, (1, 2), 1.0),)
     sparse = _det(103, kind="sparse", affected={1, 3}, n=200)
-    report = evaluate(_result(200, 5, [sparse]), truth, 200, 5)
+    report = evaluate(_result(200, [sparse]), truth, 200, 5)
     assert report.affected_tpr == pytest.approx(0.5)
     assert report.affected_fpr == pytest.approx(1 / 3)
 
     dense = _det(103, kind="dense", affected={1, 2, 3, 4, 5}, n=200)
-    report_d = evaluate(_result(200, 5, [dense]), truth, 200, 5)
+    report_d = evaluate(_result(200, [dense]), truth, 200, 5)
     assert report_d.affected_tpr == 0.0
     assert report_d.affected_fpr == 0.0
 

@@ -82,7 +82,7 @@ def test_two_strong_changes_found_without_random_intervals():
     model = gaussian_model(matrix, sigma=1.0)
     pen = PenaltyConfig(alpha=2.0, beta=8.0, K=11.0, source="manual")
     result = subset_wbs(matrix, model, pen, draw_intervals(60, 0, RandomSource(0)))
-    assert result.changepoints == (20, 40)
+    assert [det.tau for det in result.detections] == [20, 40]
 
 
 def test_detections_stay_inside_their_intervals_and_are_sorted():
@@ -94,16 +94,15 @@ def test_detections_stay_inside_their_intervals_and_are_sorted():
     model = gaussian_model(matrix, sigma=1.0)
     pen = PenaltyConfig(alpha=2.2, beta=9.0, K=18.0, source="manual")
     iv = draw_intervals(200, 150, RandomSource(4))
-    result = subset_wbs(matrix, model, pen, iv, seed=99)
-    taus = result.changepoints
+    result = subset_wbs(matrix, model, pen, iv)
+    taus = [det.tau for det in result.detections]
     assert list(taus) == sorted(taus)
     assert len(set(taus)) == len(taus)
     for det in result.detections:
         l, u = det.interval
         assert 1 <= l <= det.tau < u <= 200
-    assert result.seed == 99
     assert result.n_intervals == 150
-    assert result.n == 200 and result.d == 3
+    assert result.n == 200
 
 
 def test_same_inputs_give_identical_segmentations():
@@ -129,7 +128,7 @@ def test_interval_set_length_must_match_data():
 
 
 def test_null_data_with_calibrated_penalties_rarely_detects():
-    null = NullModel(kind=GAUSSIAN, sigma=1.0)
+    null = NullModel(kind=GAUSSIAN)
     src = RandomSource(208)
     pen = calibrate_beta(100, 5, null, src.child(0), target_fp=0.1, reps=60, intervals=30)
     names = tuple(f"x{i}" for i in range(1, 6))
@@ -146,7 +145,7 @@ def test_null_data_with_calibrated_penalties_rarely_detects():
 
 def test_single_dense_change_is_found_exactly_once():
     n, d = 1000, 12
-    null = NullModel(kind=GAUSSIAN, sigma=1.0)
+    null = NullModel(kind=GAUSSIAN)
     src = RandomSource(203)
     pen = calibrate_beta(n, d, null, src.child(999), target_fp=0.05, reps=100, intervals=200)
     spec = ScenarioSpec(
