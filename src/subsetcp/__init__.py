@@ -15,7 +15,6 @@ from .baselines import (
     baseline_statistic,
     baseline_wbs,
     cusum_matrix,
-    default_binweight_alpha,
     scan_interval_baseline,
 )
 from .core import (
@@ -108,7 +107,6 @@ __all__ = [
     "calibrate_baseline_threshold",
     "calibrate_beta",
     "cusum_matrix",
-    "default_binweight_alpha",
     "dense_cap",
     "draw_intervals",
     "estimate_dispersion",

@@ -22,12 +22,6 @@ METHOD_BINWEIGHT = "binweight"
 BASELINE_METHODS = (METHOD_MEAN, METHOD_MAX, METHOD_BINWEIGHT)
 
 
-def default_binweight_alpha(n: int) -> float:
-    """Per-variate inclusion threshold sqrt(2 ln n); sqrt(2 ln d) is the
-    common alternative for wide matrices."""
-    return math.sqrt(2.0 * math.log(n))
-
-
 @dataclass(frozen=True)
 class BaselineConfig:
     """Aggregation method and detection threshold."""
@@ -47,22 +41,20 @@ def cusum_matrix(model: CostModel, l: int, u: int) -> np.ndarray:
     return np.abs(model.cusum(l, u))
 
 
-def aggregate_cusum(method: str, w: np.ndarray, binweight_alpha: float) -> np.ndarray:
-    """Collapse a (d, T) CUSUM block across variates, before thresholding;
-    binweight sums the entries above ``binweight_alpha``."""
+def baseline_statistic(model: CostModel, method: str, l: int, u: int) -> np.ndarray:
+    """Aggregated |CUSUM| at every split of (l, u), before thresholding.
+
+    Binweight sums the variates above sqrt(2 ln n); sqrt(2 ln d) is the
+    common alternative for wide matrices.
+    """
+    w = cusum_matrix(model, l, u)
     if method == METHOD_MEAN:
         return w.mean(axis=0)
     if method == METHOD_MAX:
         return w.max(axis=0)
     if method == METHOD_BINWEIGHT:
-        return np.where(w > binweight_alpha, w, 0.0).sum(axis=0)
+        return np.where(w > math.sqrt(2.0 * math.log(model.n)), w, 0.0).sum(axis=0)
     raise InputDataError(f"unknown baseline {method!r}; choose from {BASELINE_METHODS}")
-
-
-def baseline_statistic(model: CostModel, method: str, l: int, u: int) -> np.ndarray:
-    """Aggregated |CUSUM| at every split of (l, u); binweight keeps the
-    variates above ``default_binweight_alpha(n)``."""
-    return aggregate_cusum(method, cusum_matrix(model, l, u), default_binweight_alpha(model.n))
 
 
 def scan_interval_baseline(

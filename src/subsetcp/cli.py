@@ -69,7 +69,10 @@ def _resolve_penalties(args, n: int, d: int, null: NullModel, rng: RandomSource)
     if any(v is not None for v in manual):
         if any(v is None for v in manual):
             raise InputDataError("set all of --alpha, --beta, --K or none of them")
-        return PenaltyConfig(alpha=args.alpha, beta=args.beta, K=args.K, source="manual")
+        try:
+            return PenaltyConfig(alpha=args.alpha, beta=args.beta, K=args.K, source="manual")
+        except ValueError as exc:
+            raise InputDataError(str(exc)) from None
     return calibrate_beta(
         n,
         d,
@@ -98,7 +101,7 @@ def cmd_detect(args) -> int:
     if not args.no_postprocess:
         result = postprocess(model, result)
 
-    _, mean_corr = pearson_residual_correlations(matrix, model, result)
+    mean_corr = pearson_residual_correlations(matrix, model, result)
     report = build_report(matrix, result, args.model, args.seed, mean_corr)
     write_report(report, args.output)
     pairs_path = str(args.output)
@@ -168,6 +171,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise InputDataError(f"no method given; choose from {_METHODS}")
     for method in methods:
         if method not in _METHODS:
             raise InputDataError(f"unknown method {method!r}; choose from {_METHODS}")

@@ -253,17 +253,6 @@ def _validate_counts(values: np.ndarray) -> None:
         raise InputDataError("count model requires non-negative integer entries")
 
 
-def _as_per_variate(value, d: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(d, float(arr))
-    if arr.shape != (d,):
-        raise InputDataError(f"{name} must be a scalar or one value per variate")
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
-        raise InputDataError(f"{name} values must be positive and finite")
-    return arr
-
-
 def _prefix_sums(values: np.ndarray) -> np.ndarray:
     out = np.zeros((values.shape[0], values.shape[1] + 1))
     np.cumsum(values, axis=1, out=out[:, 1:])
@@ -277,7 +266,13 @@ def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
     if sigma is None:
         sigma_arr = estimate_sigma(values)
     else:
-        sigma_arr = _as_per_variate(sigma, matrix.d, "sigma")
+        sigma_arr = np.asarray(sigma, dtype=float)
+        if sigma_arr.ndim == 0:
+            sigma_arr = np.full(matrix.d, float(sigma_arr))
+        if sigma_arr.shape != (matrix.d,):
+            raise InputDataError("sigma must be a scalar or one value per variate")
+        if np.any(~np.isfinite(sigma_arr)) or np.any(sigma_arr <= 0):
+            raise InputDataError("sigma values must be positive and finite")
     scaled = values - values.mean(axis=1, keepdims=True)
     scaled /= sigma_arr[:, None]
     return CostModel(
@@ -290,23 +285,19 @@ def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
     )
 
 
-def negbin_model(matrix: TimeSeriesMatrix, r=None) -> CostModel:
+def negbin_model(matrix: TimeSeriesMatrix) -> CostModel:
     """Negative binomial cost model for count matrices.
 
-    Dispersion is fixed per variate: supplied directly via ``r`` or
-    estimated once from the variate's full series by method of moments.
+    Dispersion is fixed per variate, estimated once from the variate's full
+    series by method of moments.
     """
     values = matrix.values
     _validate_counts(values)
-    if r is None:
-        r_arr = np.array([estimate_dispersion(row) for row in values])
-    else:
-        r_arr = _as_per_variate(r, matrix.d, "r")
     return CostModel(
         kind=NEGBIN,
         n=matrix.n,
         d=matrix.d,
         sigma=None,
-        r=r_arr,
+        r=np.array([estimate_dispersion(row) for row in values]),
         cum_y=_prefix_sums(values),
     )

@@ -43,17 +43,15 @@ def pearson_residuals(
 
 def pearson_residual_correlations(
     matrix: TimeSeriesMatrix, model: CostModel, result: SegmentationResult
-) -> tuple[np.ndarray, float]:
-    """Residual correlation matrix and its mean off-diagonal entry."""
+) -> float:
+    """Mean off-diagonal entry of the residual correlation matrix."""
     residuals = pearson_residuals(matrix, model, result)
     flat = np.std(residuals, axis=1) == 0.0
     if np.any(flat):
         names = [matrix.variate_names[i] for i in np.flatnonzero(flat)]
         raise NumericalError(f"zero-variance residual series for variates {names}")
-    corr = np.corrcoef(residuals)
-    corr = np.atleast_2d(corr)
-    d = corr.shape[0]
+    d = matrix.d
     if d == 1:
-        return corr, 0.0
-    off = corr[~np.eye(d, dtype=bool)]
-    return corr, float(np.mean(off))
+        return 0.0
+    corr = np.corrcoef(residuals)
+    return float(np.mean(corr[~np.eye(d, dtype=bool)]))

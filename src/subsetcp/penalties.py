@@ -38,6 +38,10 @@ class PenaltyConfig:
     calib_reps: int | None = None
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.K)):
+            raise ValueError(
+                f"alpha, beta and K must be finite, got {self.alpha}, {self.beta}, {self.K}"
+            )
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.K < self.beta:

@@ -12,7 +12,6 @@ a false alarm.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,11 +234,8 @@ class MetricsReport:
 
     avg_missed: float
     avg_false_alarms: float
-    type2_rate: float
     affected_tpr: float
     affected_fpr: float
-    location_histogram: dict[int, int]
-    n_reps: int = 1
     surge_in_truth: bool = False
     replicates: tuple["ReplicateRow", ...] = ()
 
@@ -253,38 +249,34 @@ class ReplicateRow:
     fpr: float
 
 
-def _score(
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else 0.0
+
+
+def evaluate(
     runs: list[tuple[SegmentationResult, tuple[ChangeSpec, ...]]],
     n: int,
     d: int,
-    surge: bool,
-    replicates: tuple[ReplicateRow, ...] = (),
+    surge: bool = False,
 ) -> MetricsReport:
-    """Average the accuracy of (result, truth) runs.
+    """Score (result, truth) runs against the planted changes.
 
-    Affected-set rates follow the sparse-recovery convention: each true
-    change is matched to its nearest estimate inside the window, and only
-    sparse-labelled matches contribute.  TPR is the fraction of truly
-    affected variates recovered, FPR the fraction of unaffected variates
-    falsely included; both average over the contributing changes of all
-    runs.
+    Each run gives one replicate row, numbered by its position.  Affected-set
+    rates follow the sparse-recovery convention: each true change is matched
+    to its nearest estimate inside the window, and only sparse-labelled
+    matches contribute.  TPR is the fraction of truly affected variates
+    recovered, FPR the fraction of unaffected variates falsely included.  A
+    row averages its own run's contributing changes; the summary pools those
+    of all runs, so runs without a sparse match do not dilute it.
     """
     tol = matching_window(n)
-    missed = false_alarms = type2 = 0
-    tpr_values: list[float] = []
-    fpr_values: list[float] = []
-    histogram: Counter[int] = Counter()
-    for result, truth in runs:
+    rows: list[ReplicateRow] = []
+    tpr_pool: list[float] = []
+    fpr_pool: list[float] = []
+    for seed, (result, truth) in enumerate(runs):
         estimates = [det.tau for det in result.detections]
-        histogram.update(estimates)
-        run_missed = sum(
-            1 for ch in truth if not any(abs(est - ch.tau) <= tol for est in estimates)
-        )
-        missed += run_missed
-        type2 += run_missed > 0
-        false_alarms += sum(
-            1 for est in estimates if not any(abs(est - ch.tau) <= tol for ch in truth)
-        )
+        tpr_values: list[float] = []
+        fpr_values: list[float] = []
         for ch in truth:
             matches = [det for det in result.detections if abs(det.tau - ch.tau) <= tol]
             if not matches:
@@ -297,29 +289,30 @@ def _score(
             tpr_values.append(len(est_set & true_set) / len(true_set))
             if len(true_set) < d:
                 fpr_values.append(len(est_set - true_set) / (d - len(true_set)))
+        rows.append(
+            ReplicateRow(
+                seed=seed,
+                missed=sum(
+                    1 for ch in truth if not any(abs(est - ch.tau) <= tol for est in estimates)
+                ),
+                false_alarms=sum(
+                    1 for est in estimates if not any(abs(est - ch.tau) <= tol for ch in truth)
+                ),
+                tpr=_mean(tpr_values),
+                fpr=_mean(fpr_values),
+            )
+        )
+        tpr_pool += tpr_values
+        fpr_pool += fpr_values
 
     return MetricsReport(
-        avg_missed=missed / len(runs),
-        avg_false_alarms=false_alarms / len(runs),
-        type2_rate=type2 / len(runs),
-        affected_tpr=float(np.mean(tpr_values)) if tpr_values else 0.0,
-        affected_fpr=float(np.mean(fpr_values)) if fpr_values else 0.0,
-        location_histogram=dict(histogram),
-        n_reps=len(runs),
+        avg_missed=sum(row.missed for row in rows) / len(rows),
+        avg_false_alarms=sum(row.false_alarms for row in rows) / len(rows),
+        affected_tpr=_mean(tpr_pool),
+        affected_fpr=_mean(fpr_pool),
         surge_in_truth=surge,
-        replicates=replicates,
+        replicates=tuple(rows),
     )
-
-
-def evaluate(
-    result: SegmentationResult,
-    truth: tuple[ChangeSpec, ...],
-    n: int,
-    d: int,
-    surge: bool = False,
-) -> MetricsReport:
-    """Score one detection run against the planted changes (see ``_score``)."""
-    return _score([(result, truth)], n, d, surge)
 
 
 @dataclass(frozen=True)
@@ -346,9 +339,8 @@ def run_experiment(
     """Repeat generate-detect-evaluate and aggregate the metrics.
 
     Calibration happens once (stream 0); replicate ``k`` draws its data and
-    intervals from sub-streams of (1, k).  Affected-set rates average over
-    the replicate-level contributing pairs, so replicates without a sparse
-    match do not dilute them.
+    intervals from sub-streams of (1, k).  The runs are scored together by
+    ``evaluate``.
     """
     from .baselines import BaselineConfig, baseline_wbs
 
@@ -368,7 +360,6 @@ def run_experiment(
         config = BaselineConfig(method=detector.method, threshold=threshold)
 
     runs = []
-    rows: list[ReplicateRow] = []
     for rep in range(reps):
         matrix, truth = generate(spec, rng.child(1, rep, 0))
         model = fit_model(matrix, spec)
@@ -379,18 +370,8 @@ def run_experiment(
                 result = postprocess(model, result)
         else:
             result = baseline_wbs(model, config, interval_set)
-        metrics = evaluate(result, truth, spec.n, spec.d, surge=spec.surge)
         runs.append((result, truth))
-        rows.append(
-            ReplicateRow(
-                seed=rep,
-                missed=int(metrics.avg_missed),
-                false_alarms=int(metrics.avg_false_alarms),
-                tpr=metrics.affected_tpr,
-                fpr=metrics.affected_fpr,
-            )
-        )
-    return _score(runs, spec.n, spec.d, spec.surge, replicates=tuple(rows))
+    return evaluate(runs, spec.n, spec.d, surge=spec.surge)
 
 
 def replicate_table(report: MetricsReport) -> str:

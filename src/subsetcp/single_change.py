@@ -30,7 +30,6 @@ class StatisticProfile:
     ``t = l + j``.  ``s1``/``s2`` are the sparse and dense branch values.
     """
 
-    interval: tuple[int, int]
     gains: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
@@ -49,7 +48,7 @@ def statistic_profile(
     thresholded = np.maximum(gains - penalties.alpha, 0.0)
     s1 = thresholded.sum(axis=0) - penalties.beta
     s2 = gains.sum(axis=0) - penalties.K
-    return StatisticProfile(interval=(l, u), gains=gains, s1=s1, s2=s2)
+    return StatisticProfile(gains=gains, s1=s1, s2=s2)
 
 
 def scan_interval(

@@ -8,6 +8,7 @@ model or ``r`` for the negative binomial one.  The WBS driver here rescans
 every contained interval at every level.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from subsetcp import (
     PenaltyConfig,
     ScenarioSpec,
     draw_intervals as package_draw_intervals,
+    negbin_model,
     statistic_profile,
 )
 from subsetcp.diagnostics import variate_segments
@@ -228,6 +230,13 @@ def sparse_beta_closed_form(n: int, d: int, C: float) -> float:
         raise InputDataError("C must be positive")
     q = float(erfc(math.sqrt(math.log(d))))
     return (math.sqrt(2.0 * d * q) + C * math.sqrt(math.log(n))) ** 2
+
+
+def fixed_r_model(matrix, r):
+    """The package's count model with dispersion ``r`` (a scalar or one value
+    per variate) in place of the estimated one."""
+    model = negbin_model(matrix)
+    return dataclasses.replace(model, r=np.broadcast_to(np.asarray(r, dtype=float), (model.d,)))
 
 
 def segment_parameters(matrix, result) -> list[list[tuple[int, int, float]]]:

@@ -16,14 +16,12 @@ from subsetcp import (
     baseline_wbs,
     calibrate_baseline_threshold,
     cusum_matrix,
-    default_binweight_alpha,
     draw_intervals,
     gaussian_model,
     make_matrix,
     negbin_model,
     scan_interval_baseline,
 )
-from subsetcp.baselines import aggregate_cusum
 
 
 def test_cusum_hand_values():
@@ -69,13 +67,6 @@ def test_aggregated_statistics_on_a_known_row():
         ("binweight", 1.0, 2.0, 2.0),
     ):
         assert oracles.baseline_statistic(method, threshold, w, alpha) == pytest.approx(want)
-        got = aggregate_cusum(method, w[:, None], alpha)[0] - threshold
-        assert got == pytest.approx(want)
-
-
-def test_default_binweight_alpha_formula():
-    assert default_binweight_alpha(100) == pytest.approx(math.sqrt(2 * math.log(100)))
-    assert default_binweight_alpha(1000) > default_binweight_alpha(100)
 
 
 def test_baseline_statistic_uses_the_derived_binweight_cut_off():
@@ -102,13 +93,13 @@ def test_baseline_statistic_uses_the_derived_binweight_cut_off():
 def test_aggregation_is_monotone_in_each_entry():
     rng = np.random.default_rng(503)
     for _ in range(50):
-        w = np.abs(rng.standard_normal((6, 1)))
+        w = np.abs(rng.standard_normal(6))
         bumped = w.copy()
         j = int(rng.integers(0, 6))
-        bumped[j, 0] += rng.uniform(0.1, 2.0)
+        bumped[j] += rng.uniform(0.1, 2.0)
         for method, alpha in (("mean", None), ("max", None), ("binweight", 1.0)):
-            before = aggregate_cusum(method, w, alpha)[0]
-            after = aggregate_cusum(method, bumped, alpha)[0]
+            before = oracles.baseline_statistic(method, 0.0, w, alpha)
+            after = oracles.baseline_statistic(method, 0.0, bumped, alpha)
             assert after >= before - 1e-12
 
 

@@ -171,6 +171,26 @@ def test_partial_manual_penalties_are_rejected(tmp_path, capsys):
     assert "error: set all of --alpha, --beta, --K or none of them" in err
 
 
+@pytest.mark.parametrize(
+    ("penalties", "message"),
+    [
+        (["--alpha", "nan", "--beta", "9", "--K", "20"], "must be finite"),
+        (["--alpha", "-1", "--beta", "1", "--K", "5"], "must be non-negative"),
+        (["--alpha", "2", "--beta", "5", "--K", "1"], "must be at least beta"),
+    ],
+)
+def test_invalid_manual_penalties_fail_with_a_message(tmp_path, capsys, penalties, message):
+    out = tmp_path / "r.json"
+    args = [
+        "detect", "--input", str(_count_csv(tmp_path)), "--model", "negbin",
+        *penalties, "--output", str(out),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_unparseable_cell_fails_with_coordinates(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("time,a,b\n1,0.5,NA\n2,0.5,1.0\n3,0.5,1.0\n")
@@ -294,6 +314,9 @@ def test_benchmark_compares_methods(tmp_path, capsys):
 
     assert main([*args[:-1], "median"]) == 1
     assert "unknown method 'median'" in capsys.readouterr().err
+    for empty in (",", ""):
+        assert main([*args[:-1], empty]) == 1
+        assert "error: no method given" in capsys.readouterr().err
 
 
 def test_out_of_range_false_alarm_target_fails_with_a_message(capsys):

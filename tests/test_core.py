@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import subsetcp
 from subsetcp import (
     Detection,
     InputDataError,
@@ -99,3 +100,12 @@ def test_random_source_children_are_distinct_streams():
     assert x.tolist() != y.tolist()
     assert base.child(1, 2).stream == (1, 2)
     assert base.child(1).child(2).stream == (1, 2)
+
+
+def test_public_names_resolve():
+    names = subsetcp.__all__
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+    namespace = {}
+    exec("from subsetcp import *", namespace)
+    assert all(name in namespace for name in names)

@@ -11,6 +11,7 @@ from scipy.optimize import minimize_scalar
 
 from oracles import (
     d_statistic,
+    fixed_r_model,
     gaussian_cost,
     negbin_cost,
     negbin_loglik,
@@ -46,7 +47,7 @@ def test_cost_rejects_reversed_bounds():
     with pytest.raises(ValueError):
         model.cusum(3, 2)
     with pytest.raises(ValueError):
-        negbin_model(make_matrix([[1, 2, 3]]), r=1.0).gain_matrix(3, 2)
+        fixed_r_model(make_matrix([[1, 2, 3]]), 1.0).gain_matrix(3, 2)
 
 
 def test_length_one_segments_cost_zero():
@@ -148,7 +149,7 @@ def test_dispersion_rejects_bad_counts():
 def test_negbin_cost_zero_segment_is_free():
     y = [0, 0, 0, 1]
     assert negbin_cost(y, 1, 3, r=2.0) == pytest.approx(0.0, abs=1e-12)
-    model = negbin_model(make_matrix([y]), r=2.0)
+    model = fixed_r_model(make_matrix([y]), 2.0)
     assert model.boundary_cost_matrix(1, np.array([0, 3, 4]))[0, 1] == pytest.approx(
         0.0, abs=1e-12
     )
@@ -178,7 +179,7 @@ def test_negbin_cost_matches_direct_likelihood_maximization():
         r = float(rng.uniform(1.0, 8.0))
         whole = _direct_negbin_cost(y, r)
         assert negbin_cost(y, 1, 12, r) == pytest.approx(whole, abs=1e-8)
-        gains = negbin_model(make_matrix([y]), r=r).gain_matrix(1, 12)[0]
+        gains = fixed_r_model(make_matrix([y]), r).gain_matrix(1, 12)[0]
         for t in range(1, 12):
             direct = whole - _direct_negbin_cost(y[:t], r) - _direct_negbin_cost(y[t:], r)
             assert gains[t - 1] == pytest.approx(max(direct, 0.0), abs=1e-8)
@@ -224,7 +225,7 @@ def test_prefix_sums_match_direct_summation_everywhere():
     counts = rng.negative_binomial(3, 0.3, size=25).astype(float)
     cases = (
         (gaussian_model(make_matrix([y, -y]), sigma=[1.0, 1.3]), y, {"sigma": 1.3}),
-        (negbin_model(make_matrix([counts, counts]), r=[1.5, 3.0]), counts, {"r": 3.0}),
+        (fixed_r_model(make_matrix([counts, counts]), [1.5, 3.0]), counts, {"r": 3.0}),
     )
     # the last variate must use its own parameter
     for model, series, param in cases:
@@ -271,7 +272,7 @@ def test_boundary_costs_match_segment_costs():
     cases = (
         (gaussian_model(make_matrix([y]), sigma=1.0), 1, y, {"sigma": 1.0}),
         # variate 2 must use its own dispersion, not variate 1's
-        (negbin_model(make_matrix([counts, counts]), r=[1.5, 3.0]), 2, counts, {"r": 3.0}),
+        (fixed_r_model(make_matrix([counts, counts]), [1.5, 3.0]), 2, counts, {"r": 3.0}),
     )
     bounds = np.array([0, 4, 11, 19, 30])
     for model, i, series, param in cases:
@@ -308,7 +309,7 @@ def test_negbin_kernel_matches_the_xlogy_span_cost(panel):
     # The kernel takes numpy logs where the oracle takes xlogy; both must
     # agree to rounding relative to the span costs involved.
     y, r, l, u, bounds = panel
-    model = negbin_model(make_matrix(y), r=r)
+    model = fixed_r_model(make_matrix(y), r)
     gains = model.gain_matrix(l, u)
     length = u - l + 1
     len_left = np.arange(1, length, dtype=float)

@@ -14,6 +14,7 @@ from oracles import (
     branch_maxima,
     calibrated_beta,
     calibration_maxima,
+    fixed_r_model,
     minimal_quiet_beta,
     sparse_beta_closed_form,
 )
@@ -64,6 +65,9 @@ def test_penalty_config_validation():
         PenaltyConfig(alpha=1.0, beta=5.0, K=4.0, source="manual")
     with pytest.raises(ValueError, match="source"):
         PenaltyConfig(alpha=1.0, beta=1.0, K=2.0, source="guessed")
+    for alpha, beta, K in ((math.nan, 9.0, 20.0), (2.2, 9.0, math.nan), (2.2, math.inf, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyConfig(alpha=alpha, beta=beta, K=K, source="manual")
 
 
 def test_sparse_threshold_closed_form_value():
@@ -249,7 +253,8 @@ def _screened_datasets(draw):
         for i in draw(st.sets(st.integers(0, d - 1), max_size=d - 1)):
             values[i] = 0.0
         r = [draw(st.sampled_from([1e-3, 0.5, 20.0, 1e4])) for _ in range(d)]
-        model = negbin_model(make_matrix(values), r=None if draw(st.booleans()) else r)
+        matrix = make_matrix(values)
+        model = negbin_model(matrix) if draw(st.booleans()) else fixed_r_model(matrix, r)
     else:
         offset = draw(st.sampled_from([0.0, 1e8]))
         values = offset + g.standard_normal((d, n)) * g.uniform(0.5, 3.0, (d, 1))

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import best_partition, gaussian_cost
+from oracles import best_partition, fixed_r_model, gaussian_cost
 from subsetcp import (
     Detection,
     PenaltyConfig,
     SegmentationResult,
     gaussian_model,
     make_matrix,
-    negbin_model,
     optimal_partition,
     postprocess,
 )
@@ -76,7 +75,7 @@ def test_partition_matches_exhaustive_subset_search():
         n = int(rng.integers(12, 30))
         counts = rng.negative_binomial(4, 0.4, size=(1, n)).astype(float)
         counts[0, n // 2 :] *= 3
-        model = negbin_model(make_matrix(counts), r=4.0)
+        model = fixed_r_model(make_matrix(counts), 4.0)
         taus = sorted(rng.choice(np.arange(1, n), size=4, replace=False).tolist())
         alpha = float(rng.uniform(0.5, 6.0))
         want = best_partition(counts[0], taus, alpha, r=4.0)

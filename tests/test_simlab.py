@@ -221,32 +221,50 @@ def test_matching_window_grows_logarithmically():
 
 def test_evaluate_counts_misses_and_false_alarms():
     truth = (ChangeSpec(600, (1,), 1.0),)
-    hit = evaluate(_result(1000, [_det(605)]), truth, 1000, 3)
+    hit = evaluate([(_result(1000, [_det(605)]), truth)], 1000, 3)
     assert hit.avg_missed == 0.0
     assert hit.avg_false_alarms == 0.0
-    assert hit.type2_rate == 0.0
 
-    extra = evaluate(_result(1000, [_det(400), _det(605)]), truth, 1000, 3)
+    extra = evaluate([(_result(1000, [_det(400), _det(605)]), truth)], 1000, 3)
     assert extra.avg_missed == 0.0
     assert extra.avg_false_alarms == 1.0
-    assert extra.location_histogram == {400: 1, 605: 1}
 
-    blank = evaluate(_result(1000, []), truth, 1000, 3)
+    blank = evaluate([(_result(1000, []), truth)], 1000, 3)
     assert blank.avg_missed == 1.0
-    assert blank.type2_rate == 1.0
 
 
 def test_evaluate_scores_sparse_affected_sets():
     truth = (ChangeSpec(100, (1, 2), 1.0),)
     sparse = _det(103, kind="sparse", affected={1, 3}, n=200)
-    report = evaluate(_result(200, [sparse]), truth, 200, 5)
+    report = evaluate([(_result(200, [sparse]), truth)], 200, 5)
     assert report.affected_tpr == pytest.approx(0.5)
     assert report.affected_fpr == pytest.approx(1 / 3)
 
     dense = _det(103, kind="dense", affected={1, 2, 3, 4, 5}, n=200)
-    report_d = evaluate(_result(200, [dense]), truth, 200, 5)
+    report_d = evaluate([(_result(200, [dense]), truth)], 200, 5)
     assert report_d.affected_tpr == 0.0
     assert report_d.affected_fpr == 0.0
+
+
+def test_evaluate_pools_affected_rates_over_contributing_changes():
+    # Run 0 recovers two sparse changes (TPR 1 and 1/2), run 1 one (TPR 0):
+    # pooled TPR is 1/2, while the rows' mean would be 3/8.
+    truth = (ChangeSpec(50, (1, 2), 1.0), ChangeSpec(120, (1, 2), 1.0))
+    def sparse(tau, affected):
+        return _det(tau, kind="sparse", affected=affected, n=200)
+
+    run0 = _result(200, [sparse(50, {1, 2}), sparse(120, {1, 3})])
+    run1 = _result(200, [sparse(50, {3, 4})])
+    report = evaluate([(run0, truth), (run1, truth)], 200, 5)
+    assert [(row.seed, row.missed, row.false_alarms) for row in report.replicates] == [
+        (0, 0, 0),
+        (1, 1, 0),
+    ]
+    assert [row.tpr for row in report.replicates] == [0.75, 0.0]
+    assert [row.fpr for row in report.replicates] == pytest.approx([1 / 6, 2 / 3])
+    assert report.avg_missed == 0.5
+    assert report.affected_tpr == pytest.approx(0.5)
+    assert report.affected_fpr == pytest.approx(1 / 3)
 
 
 def test_experiment_recovers_strong_small_scenario():
@@ -254,11 +272,9 @@ def test_experiment_recovers_strong_small_scenario():
     assert [ch.tau for ch in spec.changes] == [72, 94, 111]
     det = DetectorConfig(method="subset", intervals=40, calib_reps=20, target_fp=0.05)
     report = run_experiment(spec, det, reps=5, rng=RandomSource(601))
-    assert report.n_reps == 5
     assert len(report.replicates) == 5
     assert report.avg_missed == 0.0
     assert report.avg_false_alarms == 0.0
-    assert report.type2_rate == 0.0
 
 
 def test_experiment_calibrates_baseline_thresholds():
@@ -300,10 +316,8 @@ def test_replicate_table_layout():
     surged = MetricsReport(
         avg_missed=0.0,
         avg_false_alarms=0.0,
-        type2_rate=0.0,
         affected_tpr=0.0,
         affected_fpr=0.0,
-        location_histogram={},
         surge_in_truth=True,
     )
     assert replicate_table(surged).splitlines()[-1] == "# surge counted as two true changes"
@@ -324,11 +338,8 @@ PINNED = (
         MetricsReport(
             avg_missed=0.0,
             avg_false_alarms=0.0,
-            type2_rate=0.0,
             affected_tpr=1.0,
             affected_fpr=0.022222222222222223,
-            location_histogram={181: 2, 233: 1, 278: 2, 178: 1, 235: 2, 281: 1},
-            n_reps=3,
             surge_in_truth=False,
             replicates=_rows(
                 (0, 0, 1.0, 0.03333333333333333), (0, 0, 1.0, 0.0), (0, 0, 1.0, 0.03333333333333333)
@@ -343,11 +354,8 @@ PINNED = (
         MetricsReport(
             avg_missed=0.0,
             avg_false_alarms=0.0,
-            type2_rate=0.0,
             affected_tpr=1.0,
             affected_fpr=0.03333333333333334,
-            location_histogram={181: 2, 233: 1, 278: 2, 178: 1, 235: 2, 281: 1},
-            n_reps=3,
             surge_in_truth=False,
             replicates=_rows((0, 0, 1.0, 0.0), (0, 0, 1.0, 0.0), (0, 0, 1.0, 0.10000000000000002)),
         ),
@@ -360,11 +368,8 @@ PINNED = (
         MetricsReport(
             avg_missed=1.5,
             avg_false_alarms=0.0,
-            type2_rate=1.0,
             affected_tpr=1.0,
             affected_fpr=0.013636363636363637,
-            location_histogram={84: 2, 96: 3, 180: 3, 278: 1, 85: 1, 179: 1, 235: 2, 234: 1},
-            n_reps=4,
             surge_in_truth=True,
             replicates=_rows(
                 (1, 0, 1.0, 0.025), (1, 0, 1.0, 0.022727272727272728), (1, 0, 1.0, 0.0), (3, 0, 1.0, 0.0)
@@ -379,11 +384,8 @@ PINNED = (
         MetricsReport(
             avg_missed=0.75,
             avg_false_alarms=0.0,
-            type2_rate=0.75,
             affected_tpr=0.0,
             affected_fpr=0.0,
-            location_histogram={180: 3, 235: 4, 179: 1, 278: 1},
-            n_reps=4,
             surge_in_truth=False,
             replicates=_rows((1, 0, 0.0, 0.0), (1, 0, 0.0, 0.0), (0, 0, 0.0, 0.0), (1, 0, 0.0, 0.0)),
         ),
