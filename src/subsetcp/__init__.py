@@ -49,9 +49,7 @@ from .penalties import (
 )
 from .postprocess import optimal_partition, postprocess
 from .reports import (
-    AnalysisReport,
     build_report,
-    parse_report,
     read_csv,
     write_pairs_csv,
     write_report,
@@ -78,7 +76,6 @@ from .wbs import IntervalSet, draw_intervals, subset_wbs
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "BASELINE_METHODS",
     "BaselineConfig",
     "ChangeSpec",
@@ -120,7 +117,6 @@ __all__ = [
     "negbin_model",
     "null_model",
     "optimal_partition",
-    "parse_report",
     "pearson_residual_correlations",
     "pearson_residuals",
     "postprocess",

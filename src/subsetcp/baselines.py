@@ -92,6 +92,4 @@ def baseline_wbs(
     detections = segmentation_driver(
         model.n, intervals, lambda l, u: scan_interval_baseline(model, config, l, u)
     )
-    return SegmentationResult(
-        detections=tuple(detections), penalties=None, n=model.n, n_intervals=intervals.m
-    )
+    return SegmentationResult(detections=tuple(detections), penalties=None, n=model.n)

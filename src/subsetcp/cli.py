@@ -102,16 +102,16 @@ def cmd_detect(args) -> int:
         result = postprocess(model, result)
 
     mean_corr = pearson_residual_correlations(matrix, model, result)
-    report = build_report(matrix, result, args.model, args.seed, mean_corr)
+    report = build_report(matrix, result, args.model, args.seed, args.intervals, mean_corr)
     write_report(report, args.output)
     pairs_path = str(args.output)
     pairs_path = pairs_path[: -len(".json")] if pairs_path.endswith(".json") else pairs_path
-    write_pairs_csv(result, matrix, pairs_path + ".pairs.csv")
+    write_pairs_csv(report, pairs_path + ".pairs.csv")
 
-    print(f"wrote {args.output} ({len(result.detections)} changepoints)")
-    for rec in report.detections:
-        when = f" ({rec.time_label})" if rec.time_label else ""
-        print(f"  tau={rec.tau}{when} kind={rec.kind} affected={','.join(rec.affected)}")
+    print(f"wrote {args.output} ({len(report['detections'])} changepoints)")
+    for det in report["detections"]:
+        when = f" ({det['time_label']})" if det["time_label"] else ""
+        print(f"  tau={det['tau']}{when} kind={det['kind']} affected={','.join(det['affected'])}")
     return 0
 
 
@@ -147,7 +147,10 @@ def cmd_simulate(args) -> int:
         run_postprocess=not args.no_postprocess,
     )
     report = run_experiment(_scenario(args), detector, args.reps, RandomSource(args.seed))
-    _emit(replicate_table(report), args.output)
+    table = replicate_table(report)
+    if args.surge:
+        table += "\n# surge counted as two true changes"
+    _emit(table, args.output)
     return 0
 
 

@@ -149,7 +149,6 @@ class SegmentationResult:
     detections: tuple[Detection, ...]
     penalties: "PenaltyConfig | None"
     n: int
-    n_intervals: int = 0
 
     def __post_init__(self) -> None:
         taus = [det.tau for det in self.detections]

@@ -79,9 +79,4 @@ def postprocess(model: CostModel, result: SegmentationResult) -> SegmentationRes
         for det in result.detections
         if membership[det.tau]
     ]
-    return SegmentationResult(
-        detections=tuple(kept),
-        penalties=result.penalties,
-        n=result.n,
-        n_intervals=result.n_intervals,
-    )
+    return SegmentationResult(detections=tuple(kept), penalties=result.penalties, n=result.n)

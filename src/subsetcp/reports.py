@@ -11,13 +11,11 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import InputDataError, SegmentationResult, TimeSeriesMatrix
-from .penalties import PenaltyConfig
 
 
 def read_csv(path: str | os.PathLike) -> TimeSeriesMatrix:
@@ -36,7 +34,10 @@ def read_csv(path: str | os.PathLike) -> TimeSeriesMatrix:
             parsed = _parse_fast(handle)
         except ValueError:  # the cell parser decides, naming any bad cell
             handle.seek(0)
-            parsed = _parse_cells(handle, path)
+            try:
+                parsed = _parse_cells(handle, path)
+            except UnicodeDecodeError as exc:
+                raise InputDataError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     names, labels, values = parsed
     return TimeSeriesMatrix(values=values, variate_names=names, time_labels=labels)
 
@@ -111,97 +112,21 @@ def _parse_cells(handle, path: Path):
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputDataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # --- the analysis report ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DetectionRecord:
-    """File-facing view of one detection: names instead of indices."""
-
-    tau: int
-    time_label: str | None
-    kind: str
-    affected: tuple[str, ...]
-    statistic: float
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    n: int
-    d: int
-    model: str
-    penalties: PenaltyConfig
-    seed: int
-    intervals: int
-    detections: tuple[DetectionRecord, ...]
-    mean_residual_correlation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "model": self.model,
-            "penalties": {
-                "alpha": self.penalties.alpha,
-                "beta": self.penalties.beta,
-                "K": self.penalties.K,
-                "source": self.penalties.source,
-            },
-            "seed": self.seed,
-            "intervals": self.intervals,
-            "detections": [
-                {
-                    "tau": rec.tau,
-                    "time_label": rec.time_label,
-                    "kind": rec.kind,
-                    "affected": list(rec.affected),
-                    "statistic": rec.statistic,
-                }
-                for rec in self.detections
-            ],
-            "diagnostics": {"mean_residual_correlation": self.mean_residual_correlation},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisReport":
-        pen = data["penalties"]
-        return cls(
-            n=int(data["n"]),
-            d=int(data["d"]),
-            model=data["model"],
-            penalties=PenaltyConfig(
-                alpha=float(pen["alpha"]),
-                beta=float(pen["beta"]),
-                K=float(pen["K"]),
-                source=pen["source"],
-            ),
-            seed=int(data["seed"]),
-            intervals=int(data["intervals"]),
-            detections=tuple(
-                DetectionRecord(
-                    tau=int(rec["tau"]),
-                    time_label=rec["time_label"],
-                    kind=rec["kind"],
-                    affected=tuple(rec["affected"]),
-                    statistic=float(rec["statistic"]),
-                )
-                for rec in data["detections"]
-            ),
-            mean_residual_correlation=float(
-                data["diagnostics"]["mean_residual_correlation"]
-            ),
-        )
 
 
 def build_report(
@@ -209,47 +134,44 @@ def build_report(
     result: SegmentationResult,
     model_name: str,
     seed: int,
+    intervals: int,
     mean_residual_correlation: float,
-) -> AnalysisReport:
-    records = []
-    for det in result.detections:
-        label = matrix.time_labels[det.tau - 1] if matrix.time_labels else None
-        records.append(
-            DetectionRecord(
-                tau=det.tau,
-                time_label=label,
-                kind=det.kind,
-                affected=tuple(matrix.variate_names[i - 1] for i in sorted(det.affected)),
-                statistic=det.statistic,
-            )
-        )
-    return AnalysisReport(
-        n=matrix.n,
-        d=matrix.d,
-        model=model_name,
-        penalties=result.penalties,
-        seed=seed,
-        intervals=result.n_intervals,
-        detections=tuple(records),
-        mean_residual_correlation=mean_residual_correlation,
-    )
+) -> dict:
+    """The detect report, as the dict that ``write_report`` writes as JSON.
+
+    Detections name their affected variates (in column order) and carry the
+    time label of tau, or None when the input has no labels.
+    """
+    pen = result.penalties
+    labels = matrix.time_labels
+    return {
+        "n": matrix.n,
+        "d": matrix.d,
+        "model": model_name,
+        "penalties": {"alpha": pen.alpha, "beta": pen.beta, "K": pen.K, "source": pen.source},
+        "seed": seed,
+        "intervals": intervals,
+        "detections": [
+            {
+                "tau": det.tau,
+                "time_label": labels[det.tau - 1] if labels else None,
+                "kind": det.kind,
+                "affected": [matrix.variate_names[i - 1] for i in sorted(det.affected)],
+                "statistic": det.statistic,
+            }
+            for det in result.detections
+        ],
+        "diagnostics": {"mean_residual_correlation": mean_residual_correlation},
+    }
 
 
-def write_report(report: AnalysisReport, path: str | os.PathLike) -> None:
-    atomic_write_text(path, json.dumps(report.to_dict(), indent=2) + "\n")
+def write_report(report: dict, path: str | os.PathLike) -> None:
+    atomic_write_text(path, json.dumps(report, indent=2) + "\n")
 
 
-def parse_report(path: str | os.PathLike) -> AnalysisReport:
-    with open(path) as handle:
-        return AnalysisReport.from_dict(json.load(handle))
-
-
-def write_pairs_csv(
-    result: SegmentationResult, matrix: TimeSeriesMatrix, path: str | os.PathLike
-) -> None:
+def write_pairs_csv(report: dict, path: str | os.PathLike) -> None:
     """Flat (tau, variate) rows, one per changepoint-variate assignment."""
     lines = ["tau,variate"]
-    for det in result.detections:
-        for i in sorted(det.affected):
-            lines.append(f"{det.tau},{matrix.variate_names[i - 1]}")
+    for det in report["detections"]:
+        lines.extend(f"{det['tau']},{name}" for name in det["affected"])
     atomic_write_text(path, "\n".join(lines) + "\n")

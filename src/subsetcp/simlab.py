@@ -79,7 +79,6 @@ class ScenarioSpec:
     n: int
     d: int
     changes: tuple[ChangeSpec, ...]
-    surge: bool = False
     negbin_r: float = 20.0
     negbin_p: float = 0.5
 
@@ -177,7 +176,6 @@ def scenario(
         n=n,
         d=d,
         changes=tuple(changes),
-        surge=surge,
         negbin_r=r,
         negbin_p=base_p,
     )
@@ -236,7 +234,6 @@ class MetricsReport:
     avg_false_alarms: float
     affected_tpr: float
     affected_fpr: float
-    surge_in_truth: bool = False
     replicates: tuple["ReplicateRow", ...] = ()
 
 
@@ -257,7 +254,6 @@ def evaluate(
     runs: list[tuple[SegmentationResult, tuple[ChangeSpec, ...]]],
     n: int,
     d: int,
-    surge: bool = False,
 ) -> MetricsReport:
     """Score (result, truth) runs against the planted changes.
 
@@ -310,7 +306,6 @@ def evaluate(
         avg_false_alarms=sum(row.false_alarms for row in rows) / len(rows),
         affected_tpr=_mean(tpr_pool),
         affected_fpr=_mean(fpr_pool),
-        surge_in_truth=surge,
         replicates=tuple(rows),
     )
 
@@ -371,7 +366,7 @@ def run_experiment(
         else:
             result = baseline_wbs(model, config, interval_set)
         runs.append((result, truth))
-    return evaluate(runs, spec.n, spec.d, surge=spec.surge)
+    return evaluate(runs, spec.n, spec.d)
 
 
 def replicate_table(report: MetricsReport) -> str:
@@ -386,6 +381,4 @@ def replicate_table(report: MetricsReport) -> str:
         f"{report.avg_missed:.4f}\t{report.avg_false_alarms:.4f}\t"
         f"{report.affected_tpr:.4f}\t{report.affected_fpr:.4f}"
     )
-    if report.surge_in_truth:
-        lines.append("# surge counted as two true changes")
     return "\n".join(lines)

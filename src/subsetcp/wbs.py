@@ -111,9 +111,4 @@ def subset_wbs(
     detections = segmentation_driver(
         matrix.n, intervals, lambda l, u: scan_interval(model, penalties, l, u)
     )
-    return SegmentationResult(
-        detections=tuple(detections),
-        penalties=penalties,
-        n=matrix.n,
-        n_intervals=intervals.m,
-    )
+    return SegmentationResult(detections=tuple(detections), penalties=penalties, n=matrix.n)

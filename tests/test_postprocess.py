@@ -164,14 +164,12 @@ def test_postprocess_keeps_labels_statistics_and_metadata():
         ),
         penalties=_pen(2.5),
         n=80,
-        n_intervals=40,
     )
     cleaned = postprocess(model, raw)
     det = cleaned.detections[0]
     assert det.kind == "dense"
     assert det.statistic == 123.0
     assert det.interval == (1, 80)
-    assert cleaned.n_intervals == 40
     assert cleaned.penalties == raw.penalties
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from oracles import segment_parameters
 from subsetcp import (
-    AnalysisReport,
     Detection,
     InputDataError,
     NumericalError,
@@ -24,13 +23,11 @@ from subsetcp import (
     generate,
     make_matrix,
     negbin_model,
-    parse_report,
     pearson_residual_correlations,
     pearson_residuals,
     read_csv,
     theoretical_penalties,
     write_pairs_csv,
-    write_report,
 )
 from subsetcp.diagnostics import variate_segments
 from subsetcp.reports import _parse_cells, _parse_fast, atomic_write_text
@@ -205,18 +202,19 @@ def _report_fixture():
         ),
         penalties=_pen(),
         n=4,
-        n_intervals=10,
     )
     return matrix, result
 
 
 def test_report_dict_shape_and_name_mapping():
     matrix, result = _report_fixture()
-    report = build_report(matrix, result, "gaussian", seed=3, mean_residual_correlation=0.02)
-    data = report.to_dict()
+    data = build_report(
+        matrix, result, "gaussian", seed=3, intervals=10, mean_residual_correlation=0.02
+    )
     assert set(data) == {
         "n", "d", "model", "penalties", "seed", "intervals", "detections", "diagnostics",
     }
+    assert data["intervals"] == 10
     assert set(data["penalties"]) == {"alpha", "beta", "K", "source"}
     assert data["diagnostics"] == {"mean_residual_correlation": 0.02}
     (det,) = data["detections"]
@@ -244,17 +242,10 @@ def test_report_uses_time_labels_when_present():
         penalties=_pen(),
         n=4,
     )
-    report = build_report(matrix, result, "gaussian", seed=0, mean_residual_correlation=0.0)
-    assert report.detections[0].time_label == "t2"
-
-
-def test_report_file_round_trip(tmp_path):
-    matrix, result = _report_fixture()
-    report = build_report(matrix, result, "gaussian", seed=3, mean_residual_correlation=0.02)
-    path = tmp_path / "report.json"
-    write_report(report, path)
-    assert parse_report(path) == report
-    assert AnalysisReport.from_dict(report.to_dict()) == report
+    report = build_report(
+        matrix, result, "gaussian", seed=0, intervals=10, mean_residual_correlation=0.0
+    )
+    assert report["detections"][0]["time_label"] == "t2"
 
 
 def test_pairs_csv_lists_each_assignment(tmp_path):
@@ -274,8 +265,11 @@ def test_pairs_csv_lists_each_assignment(tmp_path):
         penalties=_pen(),
         n=4,
     )
+    report = build_report(
+        matrix, result, "gaussian", seed=0, intervals=10, mean_residual_correlation=0.0
+    )
     path = tmp_path / "pairs.csv"
-    write_pairs_csv(result, matrix, path)
+    write_pairs_csv(report, path)
     assert path.read_text() == "tau,variate\n2,a\n2,b\n"
 
 

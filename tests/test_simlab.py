@@ -313,15 +313,6 @@ def test_replicate_table_layout():
     assert lines[-1].startswith("summary\t")
     assert all(len(line.split("\t")) == 5 for line in lines[:-1])
 
-    surged = MetricsReport(
-        avg_missed=0.0,
-        avg_false_alarms=0.0,
-        affected_tpr=0.0,
-        affected_fpr=0.0,
-        surge_in_truth=True,
-    )
-    assert replicate_table(surged).splitlines()[-1] == "# surge counted as two true changes"
-
 
 def _rows(*rows):
     return tuple(ReplicateRow(seed, *rest) for seed, rest in enumerate(rows))
@@ -340,7 +331,6 @@ PINNED = (
             avg_false_alarms=0.0,
             affected_tpr=1.0,
             affected_fpr=0.022222222222222223,
-            surge_in_truth=False,
             replicates=_rows(
                 (0, 0, 1.0, 0.03333333333333333), (0, 0, 1.0, 0.0), (0, 0, 1.0, 0.03333333333333333)
             ),
@@ -356,7 +346,6 @@ PINNED = (
             avg_false_alarms=0.0,
             affected_tpr=1.0,
             affected_fpr=0.03333333333333334,
-            surge_in_truth=False,
             replicates=_rows((0, 0, 1.0, 0.0), (0, 0, 1.0, 0.0), (0, 0, 1.0, 0.10000000000000002)),
         ),
     ),
@@ -370,7 +359,6 @@ PINNED = (
             avg_false_alarms=0.0,
             affected_tpr=1.0,
             affected_fpr=0.013636363636363637,
-            surge_in_truth=True,
             replicates=_rows(
                 (1, 0, 1.0, 0.025), (1, 0, 1.0, 0.022727272727272728), (1, 0, 1.0, 0.0), (3, 0, 1.0, 0.0)
             ),
@@ -386,7 +374,6 @@ PINNED = (
             avg_false_alarms=0.0,
             affected_tpr=0.0,
             affected_fpr=0.0,
-            surge_in_truth=False,
             replicates=_rows((1, 0, 0.0, 0.0), (1, 0, 0.0, 0.0), (0, 0, 0.0, 0.0), (1, 0, 0.0, 0.0)),
         ),
     ),

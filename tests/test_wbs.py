@@ -101,7 +101,6 @@ def test_detections_stay_inside_their_intervals_and_are_sorted():
     for det in result.detections:
         l, u = det.interval
         assert 1 <= l <= det.tau < u <= 200
-    assert result.n_intervals == 150
     assert result.n == 200
 
 
