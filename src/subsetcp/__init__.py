@@ -70,7 +70,7 @@ from .simlab import (
     scenario,
     signal_matrix,
 )
-from .single_change import scan_interval, statistic_profile
+from .single_change import branch_sums, scan_interval
 from .wbs import IntervalSet, draw_intervals, subset_wbs
 
 __version__ = "0.1.0"
@@ -100,6 +100,7 @@ __all__ = [
     "TimeSeriesMatrix",
     "baseline_statistic",
     "baseline_wbs",
+    "branch_sums",
     "build_report",
     "calibrate_baseline_threshold",
     "calibrate_beta",
@@ -127,7 +128,6 @@ __all__ = [
     "scan_interval_baseline",
     "scenario",
     "signal_matrix",
-    "statistic_profile",
     "subset_wbs",
     "theoretical_penalties",
     "write_pairs_csv",

@@ -85,10 +85,6 @@ def baseline_wbs(
     all variates affected since these statistics do not localize variates.
     The result carries no penalties: its threshold is in ``config``.
     """
-    if intervals.n != model.n:
-        raise InputDataError(
-            f"interval set drawn for n={intervals.n}, model has n={model.n}"
-        )
     detections = segmentation_driver(
         model.n, intervals, lambda l, u: scan_interval_baseline(model, config, l, u)
     )

@@ -97,7 +97,7 @@ def cmd_detect(args) -> int:
 
     penalties = _resolve_penalties(args, matrix.n, matrix.d, null, rng.child(0))
     intervals = draw_intervals(matrix.n, args.intervals, rng.child(1))
-    result = subset_wbs(matrix, model, penalties, intervals)
+    result = subset_wbs(model, penalties, intervals)
     if not args.no_postprocess:
         result = postprocess(model, result)
 
@@ -106,7 +106,11 @@ def cmd_detect(args) -> int:
     write_report(report, args.output)
     pairs_path = str(args.output)
     pairs_path = pairs_path[: -len(".json")] if pairs_path.endswith(".json") else pairs_path
-    write_pairs_csv(report, pairs_path + ".pairs.csv")
+    try:
+        write_pairs_csv(report, pairs_path + ".pairs.csv")
+    except InputDataError:
+        os.unlink(args.output)  # a failed run leaves no half of its output
+        raise
 
     print(f"wrote {args.output} ({len(report['detections'])} changepoints)")
     for det in report["detections"]:
@@ -168,7 +172,7 @@ def cmd_calibrate(args) -> int:
     print(f"alpha={penalties.alpha:.6f}")
     print(f"beta={penalties.beta:.6f}")
     print(f"K={penalties.K:.6f}")
-    print(f"source={penalties.source} target_fp={penalties.target_fp} reps={penalties.calib_reps}")
+    print(f"source={penalties.source} target_fp={args.fp} reps={args.reps}")
     return 0
 
 

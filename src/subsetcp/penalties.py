@@ -24,6 +24,7 @@ from .costs import (
     gaussian_model,
     negbin_model,
 )
+from .single_change import branch_sums
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,6 @@ class PenaltyConfig:
     beta: float
     K: float
     source: str = "manual"
-    target_fp: float | None = None
-    calib_reps: int | None = None
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.K)):
@@ -161,23 +160,19 @@ def _screen_error(model: CostModel, pairs, screened: np.ndarray, alpha: float) -
 
 
 def _branch_maxima(model: CostModel, pairs, alpha: float) -> np.ndarray:
-    """Largest sparse and dense branch values of one dataset over ``pairs``,
+    """Largest sparse and dense ``branch_sums`` of one dataset over ``pairs``,
     bit-identical to a float64 scan of every interval.
 
-    At beta = K = 0 the branches are the bare sums sum(max(D - alpha, 0))
-    and sum(D).  Each interval is scanned in float32 first, giving maxima
-    m[k] within e[k] (``_screen_error``) of the float64 ones.  The interval
-    holding a branch's float64 maximum then has m[k] + e[k] >= max_j (m[j] -
-    e[j]); only intervals passing that test for either branch, or with a
+    Each interval is scanned in float32 first, giving maxima m[k] within
+    e[k] (``_screen_error``) of the float64 ones.  The interval holding a
+    branch's float64 maximum then has m[k] + e[k] >= max_j (m[j] - e[j]);
+    only intervals passing that test for either branch, or with a
     non-finite m[k] + e[k], are rescanned in float64.
     """
-    from .single_change import statistic_profile
-
-    branch_sums = PenaltyConfig(alpha=alpha, beta=0.0, K=0.0)
 
     def maxima(l: int, u: int, dtype) -> tuple[float, float]:
-        profile = statistic_profile(model, branch_sums, l, u, dtype)
-        return profile.s1.max(), profile.s2.max()
+        sparse, dense = branch_sums(model.gain_matrix(l, u, dtype), alpha)
+        return sparse.max(), dense.max()
 
     screened = np.array([maxima(l, u, np.float32) for l, u in pairs], dtype=float)
     error = _screen_error(model, pairs, screened, alpha)
@@ -236,8 +231,6 @@ def calibrate_beta(
         beta=beta,
         K=dense_cap(beta, d),
         source="calibrated",
-        target_fp=target_fp,
-        calib_reps=reps,
     )
 
 

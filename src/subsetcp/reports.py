@@ -111,12 +111,17 @@ def _parse_cells(handle, path: Path):
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` through a renamed temp file, with the mode
+    a plain write would give a new file (0o666 less the umask)."""
     path = Path(path)
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -360,7 +360,7 @@ def run_experiment(
         model = fit_model(matrix, spec)
         interval_set = draw_intervals(spec.n, detector.intervals, rng.child(1, rep, 1))
         if detector.method == "subset":
-            result = subset_wbs(matrix, model, penalties, interval_set)
+            result = subset_wbs(model, penalties, interval_set)
             if detector.run_postprocess:
                 result = postprocess(model, result)
         else:

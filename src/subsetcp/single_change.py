@@ -13,42 +13,25 @@ over ``t`` is a detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import KIND_DENSE, KIND_SPARSE, Detection
 from .costs import CostModel
-from .penalties import PenaltyConfig
+
+if TYPE_CHECKING:
+    from .penalties import PenaltyConfig
 
 
-@dataclass(frozen=True)
-class StatisticProfile:
-    """Per-split statistics for one interval.
+def branch_sums(gains: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unpenalised sparse and dense sums at every split, in ``gains``' dtype.
 
-    ``gains`` has shape (d, u-l); column ``j`` corresponds to the split at
-    ``t = l + j``.  ``s1``/``s2`` are the sparse and dense branch values.
+    ``gains`` has shape (d, u-l) as from ``CostModel.gain_matrix``; the sums
+    are sum_i max(D[i, t] - alpha, 0) and sum_i D[i, t].  Subtracting beta
+    and K gives the two branch values.
     """
-
-    gains: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-
-    @property
-    def s(self) -> np.ndarray:
-        return np.maximum(self.s1, self.s2)
-
-
-def statistic_profile(
-    model: CostModel, penalties: PenaltyConfig, l: int, u: int, dtype=np.float64
-) -> StatisticProfile:
-    """Gains and both branch values at every split of (l, u), computed in
-    ``dtype``; calibration screens intervals at float32."""
-    gains = model.gain_matrix(l, u, dtype)
-    thresholded = np.maximum(gains - penalties.alpha, 0.0)
-    s1 = thresholded.sum(axis=0) - penalties.beta
-    s2 = gains.sum(axis=0) - penalties.K
-    return StatisticProfile(gains=gains, s1=s1, s2=s2)
+    return np.maximum(gains - alpha, 0.0).sum(axis=0), gains.sum(axis=0)
 
 
 def scan_interval(
@@ -62,16 +45,19 @@ def scan_interval(
     """
     if u - l <= 1:
         raise ValueError(f"interval ({l}, {u}) has no interior split")
-    profile = statistic_profile(model, penalties, l, u)
-    s = profile.s
+    gains = model.gain_matrix(l, u)
+    sparse, dense = branch_sums(gains, penalties.alpha)
+    s1 = sparse - penalties.beta
+    s2 = dense - penalties.K
+    s = np.maximum(s1, s2)
     best = int(np.argmax(s))
     if s[best] <= 0.0:
         return None
     tau = l + best
-    if profile.s1[best] >= profile.s2[best]:
+    if s1[best] >= s2[best]:
         kind = KIND_SPARSE
         affected = frozenset(
-            int(i) + 1 for i in np.flatnonzero(profile.gains[:, best] > penalties.alpha)
+            int(i) + 1 for i in np.flatnonzero(gains[:, best] > penalties.alpha)
         )
     else:
         kind = KIND_DENSE

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Detection, InputDataError, RandomSource, SegmentationResult, TimeSeriesMatrix
+from .core import Detection, InputDataError, RandomSource, SegmentationResult
 from .costs import CostModel
 from .penalties import PenaltyConfig
 from .single_change import scan_interval
@@ -21,16 +21,13 @@ from .single_change import scan_interval
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """``m`` random intervals preceded by the deterministic full interval."""
+    """Random intervals preceded by the deterministic full interval."""
 
     n: int
-    m: int
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.pairs) != self.m + 1:
-            raise ValueError(f"expected {self.m + 1} pairs, got {len(self.pairs)}")
-        if self.pairs[0] != (1, self.n):
+        if not self.pairs or self.pairs[0] != (1, self.n):
             raise ValueError("pair 0 must be the full interval (1, n)")
         for l, u in self.pairs:
             if not 1 <= l < u <= self.n:
@@ -54,11 +51,11 @@ def draw_intervals(n: int, m: int, rng: RandomSource) -> IntervalSet:
         draws = g.integers(1, n + 1, size=(m + 1 - len(pairs), 2))
         draws = np.sort(draws[draws[:, 0] != draws[:, 1]], axis=1)
         pairs.extend(map(tuple, draws.tolist()))
-    return IntervalSet(n=n, m=m, pairs=tuple(pairs))
+    return IntervalSet(n=n, pairs=tuple(pairs))
 
 
 def segmentation_driver(n: int, intervals: IntervalSet, scan) -> list[Detection]:
-    """Run the recursion with an arbitrary single-interval scanner.
+    """Run the recursion on 1..n with an arbitrary single-interval scanner.
 
     ``scan(l, u)`` must return the best candidate on (l, u) or None.  It is
     called once per distinct interval; the result is kept for this call and
@@ -66,8 +63,10 @@ def segmentation_driver(n: int, intervals: IntervalSet, scan) -> list[Detection]
     itself comes first, so it wins exact statistic ties; stored intervals
     then compete in index order.  Recursion on (l0, u0) splits at the
     winning tau into (l0, tau) and (tau+1, u0); output does not depend on
-    segment processing order.
+    segment processing order.  ``intervals`` must be drawn for ``n``.
     """
+    if intervals.n != n:
+        raise InputDataError(f"interval set drawn for n={intervals.n}, data has n={n}")
     scanned: dict[tuple[int, int], Detection | None] = {}
 
     def best_on(l: int, u: int) -> Detection | None:
@@ -98,17 +97,10 @@ def segmentation_driver(n: int, intervals: IntervalSet, scan) -> list[Detection]
 
 
 def subset_wbs(
-    matrix: TimeSeriesMatrix,
-    model: CostModel,
-    penalties: PenaltyConfig,
-    intervals: IntervalSet,
+    model: CostModel, penalties: PenaltyConfig, intervals: IntervalSet
 ) -> SegmentationResult:
     """Detect multiple changepoints by recursive interval scanning."""
-    if intervals.n != matrix.n:
-        raise InputDataError(
-            f"interval set drawn for n={intervals.n}, matrix has n={matrix.n}"
-        )
     detections = segmentation_driver(
-        matrix.n, intervals, lambda l, u: scan_interval(model, penalties, l, u)
+        model.n, intervals, lambda l, u: scan_interval(model, penalties, l, u)
     )
-    return SegmentationResult(detections=tuple(detections), penalties=penalties, n=matrix.n)
+    return SegmentationResult(detections=tuple(detections), penalties=penalties, n=model.n)

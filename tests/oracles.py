@@ -19,11 +19,10 @@ from subsetcp import (
     GAUSSIAN,
     ChangeSpec,
     InputDataError,
-    PenaltyConfig,
     ScenarioSpec,
+    branch_sums,
     draw_intervals as package_draw_intervals,
     negbin_model,
-    statistic_profile,
 )
 from subsetcp.diagnostics import variate_segments
 from subsetcp.penalties import _minimal_quiet_beta
@@ -133,14 +132,13 @@ def minimal_quiet_beta(sparse_max: float, dense_max: float, d: int, tol: float =
 
 
 def branch_maxima(model, pairs, alpha: float) -> np.ndarray:
-    """Largest sparse and dense branch values at beta = K = 0, scanning every
-    interval with a split in float64: one calibration replicate, unscreened."""
-    branch_sums = PenaltyConfig(alpha=alpha, beta=0.0, K=0.0)
+    """Largest sparse and dense ``branch_sums`` over every interval with a
+    split, in float64: one calibration replicate, unscreened."""
     maxima = []
     for l, u in pairs:
         if u - l > 1:
-            profile = statistic_profile(model, branch_sums, l, u)
-            maxima.append((profile.s1.max(), profile.s2.max()))
+            sparse, dense = branch_sums(model.gain_matrix(l, u), alpha)
+            maxima.append((sparse.max(), dense.max()))
     return np.max(maxima, axis=0)
 
 

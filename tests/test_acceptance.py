@@ -21,10 +21,10 @@ from subsetcp import (
     KIND_SPARSE,
     NEGBIN,
     NullModel,
-    PenaltyConfig,
     RandomSource,
     ScenarioSpec,
     TimeSeriesMatrix,
+    branch_sums,
     calibrate_baseline_threshold,
     calibrate_beta,
     draw_intervals,
@@ -37,7 +37,6 @@ from subsetcp import (
     scan_interval,
     scan_interval_baseline,
     scenario,
-    statistic_profile,
     subset_wbs,
     theoretical_penalties,
 )
@@ -88,15 +87,16 @@ def test_scan_matches_exhaustive_subset_maximization():
         alpha = float(g.uniform(0.5, 4.0))
         beta = float(g.uniform(0.5, 6.0))
         K = beta + d + math.sqrt(2 * beta * d)
-        pen = PenaltyConfig(alpha=alpha, beta=beta, K=K, source="manual")
-        profile = statistic_profile(model, pen, 1, n)
+        gains = model.gain_matrix(1, n)
+        sparse, dense = branch_sums(gains, alpha)
+        s = np.maximum(sparse - beta, dense - K)
 
         masks = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
-        sums = masks @ profile.gains
+        sums = masks @ gains
         pens = np.minimum(beta + alpha * masks.sum(axis=1), K)
         per_t = (sums - pens[:, None]).max(axis=0)
-        worst = max(worst, float(np.max(np.abs(per_t - profile.s))))
-        argmax_mismatches += int(np.argmax(per_t)) != int(np.argmax(profile.s))
+        worst = max(worst, float(np.max(np.abs(per_t - s))))
+        argmax_mismatches += int(np.argmax(per_t)) != int(np.argmax(s))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and argmax_mismatches == 0 and elapsed < 30.0
     _announce(2, "scan equals subset enumeration", ok)
@@ -301,7 +301,7 @@ def test_dense_and_sparse_labels_on_a_count_panel():
         matrix, truth = generate(spec, src.child(1, seed, 0))
         model = negbin_model(matrix)
         intervals = draw_intervals(n, 200, src.child(1, seed, 1))
-        result = postprocess(model, subset_wbs(matrix, model, pen, intervals))
+        result = postprocess(model, subset_wbs(model, pen, intervals))
         nearest = {}
         for ch in truth:
             close = [det for det in result.detections if abs(det.tau - ch.tau) <= tol]

@@ -236,6 +236,22 @@ def test_unwritable_output_fails_with_a_message(tmp_path, capsys, command, targe
     assert not list(tmp_path.rglob(f".{out.name}.*"))
 
 
+@pytest.mark.parametrize("blocked", ["r.json", "r.pairs.csv"])
+def test_failed_detect_write_leaves_neither_output(tmp_path, capsys, blocked):
+    # A directory in the way of either output fails its write; the run must
+    # then leave neither the report nor the pairs CSV behind.
+    (tmp_path / blocked).mkdir()
+    out = tmp_path / "r.json"
+    args = [
+        "detect", "--input", str(_count_csv(tmp_path)), "--model", "negbin",
+        "--alpha", "2", "--beta", "15", "--K", "25", "--intervals", "10",
+        "--output", str(out),
+    ]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path / blocked}: ")
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["counts.csv"]
+
+
 def _panel_csv(tmp_path, n, d, tau):
     """Seeded standard Gaussian panel; the first min(d, 5) variates shift
     by 8 after ``tau`` (no shift when tau is None)."""
@@ -521,8 +537,15 @@ def test_benchmark_tracer_sites_resolve(monkeypatch):
     # otherwise fail only in the benchmark, inside Tracer.install.
     monkeypatch.syspath_prepend(str(PYPROJECT.parent / "perfbench"))
     tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
     for owner, attr, *_ in tracing.SITES:
         assert attr in vars(owner), f"{owner.__name__}.{attr}"
+    # A traced run fails on an expected span that nothing records: each must
+    # be a site's span or cli.main, the span of the job itself.
+    recorded = {"cli.main", *(span for _, _, span, _ in tracing.SITES)}
+    for name, workload in workloads.WORKLOADS.items():
+        unrecorded = sorted(set(workload.expected_spans) - recorded)
+        assert not unrecorded, f"{name} expects spans no site records: {unrecorded}"
 
 
 def _load_toml(path):

@@ -21,10 +21,12 @@ from oracles import (
 from subsetcp import (
     GAUSSIAN,
     NEGBIN,
+    CostModel,
     InputDataError,
     NullModel,
     PenaltyConfig,
     RandomSource,
+    branch_sums,
     calibrate_beta,
     dense_cap,
     draw_intervals,
@@ -32,7 +34,6 @@ from subsetcp import (
     make_matrix,
     negbin_model,
     scan_interval,
-    statistic_profile,
     theoretical_penalties,
 )
 from subsetcp.penalties import _branch_maxima, _minimal_quiet_beta, _null_maxima, _screen_error
@@ -124,9 +125,36 @@ def test_calibration_is_reproducible():
     b = calibrate_beta(80, 4, null, RandomSource(5), target_fp=0.1, reps=25, intervals=10)
     assert a == b
     assert a.source == "calibrated"
-    assert a.target_fp == 0.1
-    assert a.calib_reps == 25
     assert a.K == pytest.approx(dense_cap(a.beta, 4), abs=1e-12)
+
+
+def test_calibration_prices_every_split_interval_once_per_replicate(monkeypatch):
+    # perfbench counts calibration's gain cells by wrapping the class
+    # attribute CostModel.gain_matrix, so every interval with a split must be
+    # priced through it: once in float32 per replicate, then rescanned in
+    # float64 only where the screen cannot decide.
+    calls = []
+    original = CostModel.gain_matrix
+
+    def counting(model, l, u, dtype=np.float64):
+        calls.append((l, u, np.dtype(dtype)))
+        return original(model, l, u, dtype)
+
+    monkeypatch.setattr(CostModel, "gain_matrix", counting)
+    n, d, reps, intervals = 80, 4, 20, 15
+    src = RandomSource(9)
+    calibrate_beta(n, d, NullModel(kind=GAUSSIAN), src, target_fp=0.1, reps=reps,
+                   intervals=intervals)
+    expected = [
+        (l, u)
+        for rep in range(reps)
+        for l, u in draw_intervals(n, intervals, src.child(rep, 1)).pairs
+        if u - l > 1
+    ]
+    assert [(l, u) for l, u, dtype in calls if dtype == np.float32] == expected
+    rescans = [(l, u) for l, u, dtype in calls if dtype == np.float64]
+    assert reps <= len(rescans) < len(expected)
+    assert set(rescans) <= set(expected)
 
 
 def test_calibrated_threshold_hits_target_on_fresh_nulls():
@@ -168,14 +196,13 @@ def test_scan_statistic_monotone_in_shift_size():
     rng = np.random.default_rng(113)
     noise = rng.standard_normal((4, 100))
     pen = theoretical_penalties(100, 4)
-    from subsetcp import make_matrix, gaussian_model, statistic_profile
-
     previous = -math.inf
     for delta in np.arange(0.0, 2.01, 0.25):
         y = noise.copy()
         y[:2, 50:] += delta
-        profile = statistic_profile(gaussian_model(make_matrix(y), sigma=1.0), pen, 1, 100)
-        current = float(profile.s.max())
+        gains = gaussian_model(make_matrix(y), sigma=1.0).gain_matrix(1, 100)
+        sparse, dense = branch_sums(gains, pen.alpha)
+        current = float(np.maximum(sparse - pen.beta, dense - pen.K).max())
         assert current >= previous - 1e-9
         previous = current
 
@@ -279,19 +306,22 @@ def test_screened_replicate_maxima_equal_the_float64_scan(data):
 @given(data=_screened_datasets())
 def test_float32_branch_values_lie_within_the_screen_bound(data):
     model, pairs, alpha = data
-    branch_sums = PenaltyConfig(alpha=alpha, beta=0.0, K=0.0)
-    wide = [statistic_profile(model, branch_sums, l, u) for l, u in pairs]
-    narrow = [statistic_profile(model, branch_sums, l, u, np.float32) for l, u in pairs]
-    screened = np.array([(p.s1.max(), p.s2.max()) for p in narrow], dtype=float)
+    wide = [model.gain_matrix(l, u) for l, u in pairs]
+    narrow = [model.gain_matrix(l, u, np.float32) for l, u in pairs]
+    wide_sums = [branch_sums(gains, alpha) for gains in wide]
+    narrow_sums = [branch_sums(gains, alpha) for gains in narrow]
+    screened = np.array([(s.max(), t.max()) for s, t in narrow_sums], dtype=float)
     error = _screen_error(model, pairs, screened, alpha)
     ls, us = np.array(pairs).T
     gain_error = model.gain_error_bound(ls, us, screened[:, 1])
-    for k, (p64, p32) in enumerate(zip(wide, narrow)):
-        assert p32.gains.dtype == np.float32
-        column_error = np.abs(p32.gains.astype(float) - p64.gains).sum(axis=0)
+    for k, (g64, g32) in enumerate(zip(wide, narrow)):
+        assert g32.dtype == np.float32
+        column_error = np.abs(g32.astype(float) - g64).sum(axis=0)
         assert np.all(column_error <= gain_error[k])
-        assert np.all(np.abs(p32.s1.astype(float) - p64.s1) <= error[k, 0])
-        assert np.all(np.abs(p32.s2.astype(float) - p64.s2) <= error[k, 1])
+        (sparse64, dense64), (sparse32, dense32) = wide_sums[k], narrow_sums[k]
+        assert sparse32.dtype == dense32.dtype == np.float32
+        assert np.all(np.abs(sparse32.astype(float) - sparse64) <= error[k, 0])
+        assert np.all(np.abs(dense32.astype(float) - dense64) <= error[k, 1])
 
 
 @settings(max_examples=25, deadline=None)

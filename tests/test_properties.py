@@ -37,7 +37,7 @@ def _detect(y: np.ndarray, seed: int):
     matrix = make_matrix(y)
     model = gaussian_model(matrix)
     pen = theoretical_penalties(N, D)
-    result = subset_wbs(matrix, model, pen, draw_intervals(N, 40, RandomSource(seed)))
+    result = subset_wbs(model, pen, draw_intervals(N, 40, RandomSource(seed)))
     return postprocess(model, result).detections
 
 

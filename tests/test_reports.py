@@ -1,5 +1,7 @@
 """CSV input, JSON report round-trips, and model-fit diagnostics."""
 
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -279,6 +281,17 @@ def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):
     atomic_write_text(path, "new contents")
     assert path.read_text() == "new contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_gives_the_mode_of_a_plain_write(tmp_path, umask, mode):
+    # mkstemp creates its file 0600; the output must follow the umask instead.
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "text")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
 
 
 # --- diagnostics -------------------------------------------------------------

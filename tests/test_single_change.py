@@ -11,10 +11,10 @@ from subsetcp import (
     KIND_DENSE,
     KIND_SPARSE,
     PenaltyConfig,
+    branch_sums,
     gaussian_model,
     make_matrix,
     scan_interval,
-    statistic_profile,
 )
 
 
@@ -106,9 +106,10 @@ def test_scan_matches_exhaustive_subset_search():
         beta = float(rng.uniform(0.5, 6.0))
         K = beta + d + math.sqrt(2 * beta * d)
         pen = PenaltyConfig(alpha=alpha, beta=beta, K=K, source="manual")
-        profile = statistic_profile(model, pen, 1, n)
-        brute_value, brute_t = _brute_force_best(profile.gains, alpha, beta, K)
-        s = profile.s
+        gains = model.gain_matrix(1, n)
+        sparse, dense = branch_sums(gains, alpha)
+        brute_value, brute_t = _brute_force_best(gains, alpha, beta, K)
+        s = np.maximum(sparse - beta, dense - K)
         assert float(s.max()) == pytest.approx(brute_value, abs=1e-9)
         assert int(np.argmax(s)) == brute_t
 
@@ -117,10 +118,13 @@ def test_statistic_is_branch_maximum_and_gains_nonnegative():
     rng = np.random.default_rng(83)
     model = gaussian_model(make_matrix(rng.standard_normal((4, 30))), sigma=1.0)
     pen = PenaltyConfig(alpha=1.0, beta=2.0, K=9.0, source="manual")
-    profile = statistic_profile(model, pen, 3, 28)
-    assert np.all(profile.gains >= 0.0)
-    assert np.array_equal(profile.s, np.maximum(profile.s1, profile.s2))
-    assert profile.gains.shape == (4, 25)
+    gains = model.gain_matrix(3, 28)
+    sparse, dense = branch_sums(gains, pen.alpha)
+    assert np.all(gains >= 0.0)
+    s = np.maximum(sparse - pen.beta, dense - pen.K)
+    det = scan_interval(model, pen, 3, 28)
+    assert det is not None and det.statistic == s.max() and det.tau == 3 + int(np.argmax(s))
+    assert gains.shape == (4, 25)
 
 
 def test_sparse_affected_set_is_exactly_above_threshold():
@@ -132,7 +136,7 @@ def test_sparse_affected_set_is_exactly_above_threshold():
     pen = PenaltyConfig(alpha=2 * math.log(5), beta=5.0, K=100.0, source="manual")
     det = scan_interval(model, pen, 1, 60)
     assert det is not None and det.kind == KIND_SPARSE
-    gains = statistic_profile(model, pen, 1, 60).gains[:, det.tau - 1]
+    gains = model.gain_matrix(1, 60)[:, det.tau - 1]
     assert det.affected == frozenset(
         int(i) + 1 for i in np.flatnonzero(gains > pen.alpha)
     )
@@ -163,9 +167,10 @@ def test_exact_branch_tie_is_labelled_sparse():
     # d=1 with alpha=1, beta=1, K=2: branches agree whenever D >= 1
     model = gaussian_model(make_matrix([[0, 0, 2, 2]]), sigma=1.0)
     pen = PenaltyConfig(alpha=1.0, beta=1.0, K=2.0, source="manual")
-    profile = statistic_profile(model, pen, 1, 4)
-    best = int(np.argmax(profile.s))
-    assert profile.s1[best] == pytest.approx(profile.s2[best], abs=1e-12)
+    sparse, dense = branch_sums(model.gain_matrix(1, 4), pen.alpha)
+    s1, s2 = sparse - pen.beta, dense - pen.K
+    best = int(np.argmax(np.maximum(s1, s2)))
+    assert s1[best] == pytest.approx(s2[best], abs=1e-12)
     det = scan_interval(model, pen, 1, 4)
     assert det is not None and det.kind == KIND_SPARSE
 

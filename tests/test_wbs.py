@@ -37,7 +37,6 @@ from subsetcp.wbs import segmentation_driver
 def test_zero_extra_intervals_means_plain_binary_segmentation():
     iv = draw_intervals(10, 0, RandomSource(1))
     assert iv.pairs == ((1, 10),)
-    assert iv.m == 0
 
 
 def test_interval_draws_are_valid_and_reproducible():
@@ -67,9 +66,11 @@ def test_interval_drawing_rejects_tiny_series():
 
 def test_interval_set_requires_leading_full_interval():
     with pytest.raises(ValueError):
-        IntervalSet(n=10, m=1, pairs=((2, 9), (1, 10)))
+        IntervalSet(n=10, pairs=((2, 9), (1, 10)))
     with pytest.raises(ValueError):
-        IntervalSet(n=10, m=1, pairs=((1, 10),))
+        IntervalSet(n=10, pairs=())
+    with pytest.raises(ValueError):
+        IntervalSet(n=10, pairs=((1, 10), (0, 5)))
 
 
 def test_two_strong_changes_found_without_random_intervals():
@@ -81,7 +82,7 @@ def test_two_strong_changes_found_without_random_intervals():
     matrix = make_matrix([y])
     model = gaussian_model(matrix, sigma=1.0)
     pen = PenaltyConfig(alpha=2.0, beta=8.0, K=11.0, source="manual")
-    result = subset_wbs(matrix, model, pen, draw_intervals(60, 0, RandomSource(0)))
+    result = subset_wbs(model, pen, draw_intervals(60, 0, RandomSource(0)))
     assert [det.tau for det in result.detections] == [20, 40]
 
 
@@ -94,7 +95,7 @@ def test_detections_stay_inside_their_intervals_and_are_sorted():
     model = gaussian_model(matrix, sigma=1.0)
     pen = PenaltyConfig(alpha=2.2, beta=9.0, K=18.0, source="manual")
     iv = draw_intervals(200, 150, RandomSource(4))
-    result = subset_wbs(matrix, model, pen, iv)
+    result = subset_wbs(model, pen, iv)
     taus = [det.tau for det in result.detections]
     assert list(taus) == sorted(taus)
     assert len(set(taus)) == len(taus)
@@ -112,8 +113,8 @@ def test_same_inputs_give_identical_segmentations():
     model = gaussian_model(matrix, sigma=1.0)
     pen = PenaltyConfig(alpha=1.4, beta=7.0, K=14.0, source="manual")
     iv = draw_intervals(120, 80, RandomSource(6))
-    a = subset_wbs(matrix, model, pen, iv)
-    b = subset_wbs(matrix, model, pen, iv)
+    a = subset_wbs(model, pen, iv)
+    b = subset_wbs(model, pen, iv)
     assert a == b
 
 
@@ -123,7 +124,7 @@ def test_interval_set_length_must_match_data():
     pen = PenaltyConfig(alpha=1.0, beta=1.0, K=3.0, source="manual")
     iv = draw_intervals(7, 0, RandomSource(0))
     with pytest.raises(InputDataError):
-        subset_wbs(matrix, model, pen, iv)
+        subset_wbs(model, pen, iv)
 
 
 def test_null_data_with_calibrated_penalties_rarely_detects():
@@ -137,7 +138,7 @@ def test_null_data_with_calibrated_penalties_rarely_detects():
         values = model.cum_y[:, 1:] - model.cum_y[:, :-1]
         matrix = TimeSeriesMatrix(np.asarray(values), names)
         iv = draw_intervals(100, 30, src.child(2, rep))
-        result = subset_wbs(matrix, model, pen, iv)
+        result = subset_wbs(model, pen, iv)
         empty += not result.detections
     assert 0.80 <= empty / 100 <= 0.97
 
@@ -158,7 +159,7 @@ def test_single_dense_change_is_found_exactly_once():
         matrix, _ = generate(spec, src.child(rep, 0))
         model = gaussian_model(matrix, sigma=1.0)
         iv = draw_intervals(n, 200, src.child(rep, 1))
-        result = subset_wbs(matrix, model, pen, iv)
+        result = subset_wbs(model, pen, iv)
         close = [det for det in result.detections if abs(det.tau - 600) <= 7]
         exactly_one += len(close) == 1 and len(result.detections) == 1
     assert exactly_one >= 95
@@ -202,9 +203,9 @@ def test_scanning_each_interval_once_matches_rescanning(data):
         visited.add((l, u))
         return scanners[0](l, u)
 
-    oracles.segmentation_driver(n, IntervalSet(n, len(pairs), ((1, n), *pairs)), recording)
+    oracles.segmentation_driver(n, IntervalSet(n, ((1, n), *pairs)), recording)
     pairs += data.draw(st.lists(st.sampled_from(sorted(visited)), max_size=5), label="visited")
-    iv = IntervalSet(n, len(pairs), ((1, n), *pairs))
+    iv = IntervalSet(n, ((1, n), *pairs))
     for scan in scanners:
         assert segmentation_driver(n, iv, scan) == oracles.segmentation_driver(n, iv, scan)
 
@@ -225,7 +226,7 @@ def test_each_interval_is_scanned_once_and_ties_go_to_the_segment_then_the_lowes
         calls[l, u] = calls.get((l, u), 0) + 1
         return candidates.get((l, u))
 
-    found = segmentation_driver(20, IntervalSet(20, len(pairs) - 1, pairs), scan)
+    found = segmentation_driver(20, IntervalSet(20, pairs), scan)
     assert found == [candidates[3, 9], candidates[1, 20], candidates[11, 18]]
     assert calls == dict.fromkeys(
         [(1, 20), (3, 9), (11, 18), (2, 10), (1, 10), (11, 20), (1, 6), (7, 10), (11, 14),
