@@ -56,19 +56,18 @@ class CostModel:
     r: np.ndarray | None
     cum_y: np.ndarray
 
-    def span_cost(self, total, length, k: int | None = None):
+    def span_cost(self, total, length):
         """Cost of spans with the given sums and lengths, up to additive terms.
 
         Gaussian: -S^2 / len on the scaled series.  Negbin:
         -2 [S log(S / (len r + S)) + len r log(len r / (len r + S))].
-        ``k`` (0-based) selects one variate's dispersion; without it, the
-        last-but-one axis of ``total`` runs over variates.  Negbin costs are
-        computed in the precision of ``total``.
+        The last-but-one axis of ``total`` runs over variates.  Negbin costs
+        are computed in the precision of ``total``.
         """
         if self.kind == GAUSSIAN:
             return -total * total / length
         r = self.r.astype(total.dtype, copy=False)
-        lr = length * (r[:, None] if k is None else r[k])
+        lr = length * r[:, None]
         scale = lr + total
         out = np.divide(total, scale)
         # Floor S / scale: an empty span's S log(S / scale) is then 0 * finite = 0.
@@ -185,20 +184,16 @@ class CostModel:
         normal = (self.r.min() >= 2.0**-40) & (mass.max(axis=0) <= 2.0**40)
         return np.where(normal, bound, np.inf)
 
-    def boundary_cost_matrix(self, i: int, bounds: np.ndarray) -> np.ndarray:
-        """Costs of variate ``i`` between candidate boundaries.
+    def boundary_cost_matrix(self, bounds: np.ndarray, j: int) -> np.ndarray:
+        """Costs of every variate's spans that end at boundary ``bounds[j]``.
 
         ``bounds`` is an increasing vector of prefix indices (0-based, i.e.
-        boundary ``b`` closes the segment ending at time ``b``).  Entry
-        ``[k, j]`` is the cost of span ``bounds[k]+1 .. bounds[j]`` for
-        ``k < j``; other entries are infinite.
+        boundary ``b`` closes the segment ending at time ``b``).  Returns a
+        (d, j) array whose entry ``[i, k]`` is variate i+1's cost of span
+        ``bounds[k]+1 .. bounds[j]``.
         """
-        sums = self.cum_y[i - 1, bounds]
-        seg_len = (bounds[None, :] - bounds[:, None]).astype(float)
-        upper = seg_len > 0
-        seg_sum = np.where(upper, sums[None, :] - sums[:, None], 0.0)
-        out = self.span_cost(seg_sum, np.where(upper, seg_len, 1.0), i - 1)
-        return np.where(upper, out, np.inf)
+        sums = self.cum_y[:, bounds[: j + 1]]
+        return self.span_cost(sums[:, j:] - sums[:, :j], (bounds[j] - bounds[:j]).astype(float))
 
 
 def estimate_sigma(y: np.ndarray):

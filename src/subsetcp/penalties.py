@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import baselines, wbs
 from .core import InputDataError, RandomSource, TimeSeriesMatrix
 from .costs import (
     GAUSSIAN,
@@ -122,11 +123,11 @@ def _null_maxima(
     Replicate ``rep`` simulates its dataset from stream (rep, 0) and draws its
     own interval set from (rep, 1) (``intervals`` = 0 means a plain scan of
     (1, n)); intervals with a single split are skipped, as in the detector.
-    Maxima of k values give shape (reps, k).  ``target_fp`` is only checked
-    here, before the first draw.
+    Maxima of k values give shape (reps, k).  ``n``, ``target_fp`` and
+    ``reps`` are checked here, before the first draw.
     """
-    from .wbs import draw_intervals
-
+    if n < 3:
+        raise InputDataError(f"calibration needs n >= 3, got {n}")
     if not 0.0 < target_fp < 1.0:
         raise InputDataError(f"target_fp must be in (0, 1), got {target_fp}")
     if reps < 20:
@@ -134,7 +135,7 @@ def _null_maxima(
     maxima = []
     for rep in range(reps):
         model = null.sample_model(n, d, rng.child(rep, 0))
-        pairs = draw_intervals(n, intervals, rng.child(rep, 1)).pairs
+        pairs = wbs.draw_intervals(n, intervals, rng.child(rep, 1)).pairs
         maxima.append(replicate_maxima(model, [(l, u) for l, u in pairs if u - l > 1]))
     return np.array(maxima)
 
@@ -249,13 +250,11 @@ def calibrate_baseline_threshold(
     Returns the (1 - target_fp) quantile over null datasets of the largest
     ``baselines.baseline_statistic`` across intervals and splits.
     """
-    from .baselines import baseline_statistic
-
     if null.kind != GAUSSIAN:
         raise InputDataError("baseline calibration is defined for the Gaussian model only")
 
     def aggregated_max(model: CostModel, pairs) -> float:
-        return np.max([baseline_statistic(model, method, l, u).max() for l, u in pairs])
+        return np.max([baselines.baseline_statistic(model, method, l, u).max() for l, u in pairs])
 
     maxima = _null_maxima(n, d, null, rng, target_fp, reps, intervals, aggregated_max)
     return float(np.quantile(maxima, 1.0 - target_fp, method="higher"))

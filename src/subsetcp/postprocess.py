@@ -2,30 +2,31 @@
 
 Detection yields candidate changepoints with provisional affected sets.
 Here each variate independently solves an optimal-partitioning problem
-restricted to the candidate positions, paying ``alpha`` per kept change.
-A variate is assigned to exactly the candidates on its optimal path;
-candidates that no variate selects are dropped.  Sparse/dense labels from
-detection are kept for reporting.
+restricted to the candidate positions, paying ``alpha`` per kept change;
+one recursion moves all variates forward together.  A variate is assigned
+to exactly the candidates on its optimal path; candidates that no variate
+selects are dropped.  Sparse/dense labels from detection are kept for
+reporting.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
 
-from .core import Detection, SegmentationResult
+from .core import SegmentationResult
 from .costs import CostModel
 
 
-def optimal_partition(
-    model: CostModel, i: int, taus: Sequence[int], alpha: float
-) -> tuple[int, ...]:
-    """Best subset of candidate splits for variate ``i``.
+def optimal_partition(model: CostModel, taus: Sequence[int], alpha: float) -> np.ndarray:
+    """Best subset of candidate splits for every variate.
 
-    Minimizes the total segment cost plus ``alpha`` per segment over all
-    subsets of ``taus`` (strictly increasing, within 1..n-1) and returns the
-    selected tau values.
+    Minimizes, per variate, the total segment cost plus ``alpha`` per
+    segment over all subsets of ``taus`` (strictly increasing, within
+    1..n-1).  Returns a (d, len(taus)) boolean mask whose entry ``[i, c]``
+    says whether variate i+1 keeps ``taus[c]``.
     """
     taus = list(taus)
     if any(b <= a for a, b in zip(taus, taus[1:])):
@@ -35,22 +36,23 @@ def optimal_partition(
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     bounds = np.array([0, *taus, model.n])
-    cost = model.boundary_cost_matrix(i, bounds)
+    rows = np.arange(model.d)
 
-    # f[j]: best cost of 1..bounds[j]; back[j]: the boundary before it.
-    f = np.zeros(len(bounds))
-    back = np.zeros(len(bounds), dtype=int)
+    # f[:, j]: each variate's best cost of 1..bounds[j]; back[:, j]: the
+    # boundary before it on that variate's path.
+    f = np.zeros((model.d, len(bounds)))
+    back = np.zeros((model.d, len(bounds)), dtype=int)
     for j in range(1, len(bounds)):
-        totals = f[:j] + cost[:j, j]
-        back[j] = int(np.argmin(totals))
-        f[j] = totals[back[j]] + alpha
+        totals = f[:, :j] + model.boundary_cost_matrix(bounds, j)
+        back[:, j] = np.argmin(totals, axis=1)
+        f[:, j] = totals[rows, back[:, j]] + alpha
 
-    selected: list[int] = []
-    j = back[-1]
-    while j > 0:
-        selected.append(taus[j - 1])
-        j = back[j]
-    return tuple(reversed(selected))
+    keep = np.zeros((model.d, len(bounds)), dtype=bool)
+    j = back[:, -1]
+    while np.any(j > 0):
+        keep[rows, j] = True
+        j = back[rows, j]
+    return keep[:, 1:-1]
 
 
 def postprocess(model: CostModel, result: SegmentationResult) -> SegmentationResult:
@@ -62,21 +64,10 @@ def postprocess(model: CostModel, result: SegmentationResult) -> SegmentationRes
     """
     if not result.detections:
         return result
-    alpha = result.penalties.alpha
-    taus = [det.tau for det in result.detections]
-    membership: dict[int, set[int]] = {tau: set() for tau in taus}
-    for i in range(1, model.d + 1):
-        for tau in optimal_partition(model, i, taus, alpha):
-            membership[tau].add(i)
-    kept = [
-        Detection(
-            tau=det.tau,
-            kind=det.kind,
-            affected=frozenset(membership[det.tau]),
-            statistic=det.statistic,
-            interval=det.interval,
-        )
-        for det in result.detections
-        if membership[det.tau]
-    ]
-    return SegmentationResult(detections=tuple(kept), penalties=result.penalties, n=result.n)
+    keep = optimal_partition(model, [det.tau for det in result.detections], result.penalties.alpha)
+    kept = tuple(
+        dataclasses.replace(det, affected=frozenset((np.flatnonzero(column) + 1).tolist()))
+        for det, column in zip(result.detections, keep.T)
+        if column.any()
+    )
+    return SegmentationResult(detections=kept, penalties=result.penalties, n=result.n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -112,16 +113,21 @@ def _parse_cells(handle, path: Path):
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write ``text`` to ``path`` through a renamed temp file, with the mode
-    a plain write would give a new file (0o666 less the umask)."""
+    a plain write would leave: an existing file's own permission bits, or
+    0o666 less the umask for a new file."""
     path = Path(path)
-    umask = os.umask(0)
-    os.umask(umask)
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
-            os.chmod(tmp, 0o666 & ~umask)
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import baselines
 from .core import (
     KIND_SPARSE,
     InputDataError,
@@ -337,8 +338,6 @@ def run_experiment(
     intervals from sub-streams of (1, k).  The runs are scored together by
     ``evaluate``.
     """
-    from .baselines import BaselineConfig, baseline_wbs
-
     if reps < 1:
         raise InputDataError("need at least one replicate")
 
@@ -352,7 +351,7 @@ def run_experiment(
         threshold = calibrate_baseline_threshold(
             spec.n, spec.d, detector.method, null, rng.child(0), **calibration
         )
-        config = BaselineConfig(method=detector.method, threshold=threshold)
+        config = baselines.BaselineConfig(method=detector.method, threshold=threshold)
 
     runs = []
     for rep in range(reps):
@@ -364,7 +363,7 @@ def run_experiment(
             if detector.run_postprocess:
                 result = postprocess(model, result)
         else:
-            result = baseline_wbs(model, config, interval_set)
+            result = baselines.baseline_wbs(model, config, interval_set)
         runs.append((result, truth))
     return evaluate(runs, spec.n, spec.d)
 

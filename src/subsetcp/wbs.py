@@ -10,13 +10,16 @@ split around it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Detection, InputDataError, RandomSource, SegmentationResult
 from .costs import CostModel
-from .penalties import PenaltyConfig
 from .single_change import scan_interval
+
+if TYPE_CHECKING:
+    from .penalties import PenaltyConfig
 
 
 @dataclass(frozen=True)

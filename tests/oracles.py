@@ -176,6 +176,12 @@ def best_partition(y, taus, alpha: float, sigma=None, r=None) -> tuple[int, ...]
     return best_sel
 
 
+def kept_taus(keep, taus) -> list[tuple[int, ...]]:
+    """Per variate, the candidates that a (d, len(taus)) keep-mask from
+    ``optimal_partition`` selects, in the form ``best_partition`` returns."""
+    return [tuple(np.asarray(taus, dtype=int)[row].tolist()) for row in keep]
+
+
 def draw_intervals(n: int, m: int, g) -> list[tuple[int, int]]:
     """``m`` intervals from generator ``g``, one pair of uniform draws on
     1..n at a time, each tie redrawn; the full interval (1, n) comes first."""

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from oracles import amoc_scenario, best_partition
+from oracles import amoc_scenario, best_partition, kept_taus
 from subsetcp import (
     BaselineConfig,
     ChangeSpec,
@@ -118,7 +118,7 @@ def test_candidate_partition_matches_exhaustive_search():
         model = gaussian_model(TimeSeriesMatrix(y[None, :], ("x1",)), sigma=1.0)
         taus = tuple(sorted(g.choice(np.arange(1, n), size=q, replace=False).tolist()))
         alpha = float(g.uniform(0.1, 8.0))
-        selected = optimal_partition(model, 1, taus, alpha)
+        (selected,) = kept_taus(optimal_partition(model, taus, alpha), taus)
         selection_mismatches += best_partition(y, taus, alpha, sigma=1.0) != selected
     elapsed = time.perf_counter() - start
     ok = selection_mismatches == 0 and elapsed < 30.0

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, messages, and written artifacts."""
 
+import ast
 import importlib
 import importlib.metadata
 import json
@@ -471,6 +472,8 @@ def test_negative_seed_fails_with_a_message(tmp_path, capsys, command):
         (["simulate", "--scenario", "Aprime", "--model", "negbin", "--r", "inf"], "finite r"),
         (["simulate", "--scenario", "Aprime", "--model", "negbin", "--dp", "nan"], "non-zero"),
         (["simulate", "--scenario", "Aprime", "--n", "300", "--delta", "inf"], "non-zero"),
+        (["calibrate", "--n", "-5", "--d", "3", "--reps", "20"], "needs n >= 3, got -5"),
+        (["calibrate", "--n", "2", "--d", "3", "--reps", "20"], "needs n >= 3, got 2"),
     ],
 )
 def test_non_finite_model_parameters_fail_before_sampling(monkeypatch, capsys, args, message):
@@ -546,6 +549,24 @@ def test_benchmark_tracer_sites_resolve(monkeypatch):
     for name, workload in workloads.WORKLOADS.items():
         unrecorded = sorted(set(workload.expected_spans) - recorded)
         assert not unrecorded, f"{name} expects spans no site records: {unrecorded}"
+
+
+def test_package_has_no_function_local_imports():
+    # A function-local import hides a dependency, often an import cycle;
+    # every module's imports belong at its top, where a reader finds them.
+    sources = sorted((PYPROJECT.parent / "src" / "subsetcp").glob("*.py"))
+    assert sources
+    local = set()
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                local.update(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    assert not local, f"imports inside function bodies: {sorted(local)}"
 
 
 def _load_toml(path):

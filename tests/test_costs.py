@@ -150,7 +150,7 @@ def test_negbin_cost_zero_segment_is_free():
     y = [0, 0, 0, 1]
     assert negbin_cost(y, 1, 3, r=2.0) == pytest.approx(0.0, abs=1e-12)
     model = fixed_r_model(make_matrix([y]), 2.0)
-    assert model.boundary_cost_matrix(1, np.array([0, 3, 4]))[0, 1] == pytest.approx(
+    assert model.boundary_cost_matrix(np.array([0, 3, 4]), 1)[0, 0] == pytest.approx(
         0.0, abs=1e-12
     )
 
@@ -276,12 +276,12 @@ def test_boundary_costs_match_segment_costs():
     )
     bounds = np.array([0, 4, 11, 19, 30])
     for model, i, series, param in cases:
-        table = model.boundary_cost_matrix(i, bounds)
+        ending = [model.boundary_cost_matrix(bounds, j) for j in range(len(bounds))]
+        assert [block.shape for block in ending] == [(model.d, j) for j in range(len(bounds))]
         for a, k, b in itertools.combinations(range(len(bounds)), 3):
             direct = d_statistic(series, bounds[a] + 1, bounds[b], bounds[k], **param)
-            got = table[a, b] - table[a, k] - table[k, b]
+            got = ending[b][i - 1, a] - ending[k][i - 1, a] - ending[b][i - 1, k]
             assert got == pytest.approx(direct, abs=1e-9)
-        assert np.all(table[np.tril_indices(len(bounds))] == np.inf)
 
 
 @st.composite
@@ -325,13 +325,12 @@ def test_negbin_kernel_matches_the_xlogy_span_cost(panel):
     assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
     assert np.all(np.abs(gains - want) <= tol)
 
-    upper = np.triu(np.ones((len(bounds), len(bounds)), dtype=bool), k=1)
-    seg_len = (bounds[None, :] - bounds[:, None])[upper].astype(float)
-    for i in range(1, len(r) + 1):
-        cum = np.concatenate(([0.0], np.cumsum(y[i - 1])))
-        seg_sum = (cum[bounds][None, :] - cum[bounds][:, None])[upper]
-        table = model.boundary_cost_matrix(i, bounds)
-        got, want = table[upper], negbin_span_cost(seg_sum, seg_len, r[i - 1])
+    cum = np.concatenate((np.zeros((len(r), 1)), np.cumsum(y, axis=1)), axis=1)
+    for j in range(1, len(bounds)):
+        seg_sum = cum[:, bounds[j] : bounds[j] + 1] - cum[:, bounds[:j]]
+        seg_len = (bounds[j] - bounds[:j]).astype(float)
+        got = model.boundary_cost_matrix(bounds, j)
+        want = negbin_span_cost(seg_sum, seg_len, r[:, None])
+        assert got.shape == (len(r), j)
         assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
         assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(want) + 1.0))
-        assert np.all(table[~upper] == np.inf)

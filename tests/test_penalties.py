@@ -27,6 +27,7 @@ from subsetcp import (
     PenaltyConfig,
     RandomSource,
     branch_sums,
+    calibrate_baseline_threshold,
     calibrate_beta,
     dense_cap,
     draw_intervals,
@@ -117,6 +118,19 @@ def test_calibration_input_validation():
         calibrate_beta(100, 1, null, rng, reps=50)
     with pytest.raises(InputDataError):
         calibrate_beta(100, 5, null, rng, target_fp=0.0, reps=50)
+
+
+@pytest.mark.parametrize("n", (-5, 0, 2))
+def test_calibration_rejects_a_short_series_before_sampling(monkeypatch, n):
+    def no_draws(*args):
+        raise AssertionError("a null dataset was sampled")
+
+    monkeypatch.setattr(NullModel, "sample_model", no_draws)
+    null = NullModel(kind=GAUSSIAN)
+    with pytest.raises(InputDataError, match=f"calibration needs n >= 3, got {n}"):
+        calibrate_beta(n, 3, null, RandomSource(0), reps=20)
+    with pytest.raises(InputDataError, match=f"calibration needs n >= 3, got {n}"):
+        calibrate_baseline_threshold(n, 3, "mean", null, RandomSource(0), reps=20)
 
 
 def test_calibration_is_reproducible():

@@ -285,13 +285,20 @@ def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):
 
 @pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600)])
 def test_atomic_write_gives_the_mode_of_a_plain_write(tmp_path, umask, mode):
-    # mkstemp creates its file 0600; the output must follow the umask instead.
+    # mkstemp creates its file 0600; a new output must follow the umask
+    # instead, and an overwritten one must keep its own mode, as with open().
+    path = tmp_path / "out.txt"
     previous = os.umask(umask)
     try:
-        atomic_write_text(tmp_path / "out.txt", "text")
+        atomic_write_text(path, "text")
+        created = stat.S_IMODE(path.stat().st_mode)
+        path.chmod(0o640)
+        atomic_write_text(path, "new text")
     finally:
         os.umask(previous)
-    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+    assert created == mode
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text() == "new text"
 
 
 # --- diagnostics -------------------------------------------------------------
