@@ -41,19 +41,19 @@ def cusum_matrix(model: CostModel, l: int, u: int) -> np.ndarray:
     return np.abs(model.cusum(l, u))
 
 
-def baseline_statistic(model: CostModel, method: str, l: int, u: int) -> np.ndarray:
-    """Aggregated |CUSUM| at every split of (l, u), before thresholding.
+def baseline_statistic(w: np.ndarray, method: str, n: int) -> np.ndarray:
+    """Aggregated |CUSUM| at every split, before thresholding.
 
-    Binweight sums the variates above sqrt(2 ln n); sqrt(2 ln d) is the
-    common alternative for wide matrices.
+    ``w`` has variates on axis -2, as from ``cusum_matrix``; that axis is
+    reduced.  Binweight sums the entries above sqrt(2 ln n), with n the
+    series length; sqrt(2 ln d) is the common alternative for wide matrices.
     """
-    w = cusum_matrix(model, l, u)
     if method == METHOD_MEAN:
-        return w.mean(axis=0)
+        return w.mean(axis=-2)
     if method == METHOD_MAX:
-        return w.max(axis=0)
+        return w.max(axis=-2)
     if method == METHOD_BINWEIGHT:
-        return np.where(w > math.sqrt(2.0 * math.log(model.n)), w, 0.0).sum(axis=0)
+        return np.where(w > math.sqrt(2.0 * math.log(n)), w, 0.0).sum(axis=-2)
     raise InputDataError(f"unknown baseline {method!r}; choose from {BASELINE_METHODS}")
 
 
@@ -63,7 +63,7 @@ def scan_interval_baseline(
     """Best baseline candidate on (l, u); smallest t wins ties."""
     if u - l <= 1:
         raise ValueError(f"interval ({l}, {u}) has no interior split")
-    s = baseline_statistic(model, config.method, l, u) - config.threshold
+    s = baseline_statistic(cusum_matrix(model, l, u), config.method, model.n) - config.threshold
     best = int(np.argmax(s))
     if s[best] <= 0.0:
         return None

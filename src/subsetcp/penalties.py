@@ -27,6 +27,13 @@ from .costs import (
 )
 from .single_change import branch_sums
 
+# Prefix cells, d (n + 1) per replicate, of the null replicates sampled and
+# priced as one batch: 5 replicates at n = 1000, d = 12, and 1 when d (n + 1)
+# exceeds it.
+_BATCH_CELLS = 2**16
+# Prefix cells in one block of equal-length intervals.
+_BLOCK_CELLS = 2**15
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
@@ -116,15 +123,18 @@ def _null_maxima(
     target_fp: float,
     reps: int,
     intervals: int,
-    replicate_maxima,
+    batch_maxima,
 ) -> np.ndarray:
-    """Per-replicate maxima ``replicate_maxima(model, pairs)`` over null datasets.
+    """Per-replicate maxima over null datasets, ``batch_maxima(models, pairs)``
+    a batch of replicates at a time.
 
     Replicate ``rep`` simulates its dataset from stream (rep, 0) and draws its
     own interval set from (rep, 1) (``intervals`` = 0 means a plain scan of
     (1, n)); intervals with a single split are skipped, as in the detector.
-    Maxima of k values give shape (reps, k).  ``n``, ``target_fp`` and
-    ``reps`` are checked here, before the first draw.
+    A batch holds as many replicates as fit ``_BATCH_CELLS`` prefix cells,
+    and at least one.  ``batch_maxima`` returns one row per replicate; maxima
+    of k values give shape (reps, k).  ``n``, ``target_fp``, ``reps`` and
+    ``intervals`` are checked here, before the first draw.
     """
     if n < 3:
         raise InputDataError(f"calibration needs n >= 3, got {n}")
@@ -132,12 +142,52 @@ def _null_maxima(
         raise InputDataError(f"target_fp must be in (0, 1), got {target_fp}")
     if reps < 20:
         raise InputDataError(f"calibration needs at least 20 replicates, got {reps}")
+    if intervals < 0:
+        raise InputDataError(f"interval count must be >= 0, got {intervals}")
+    batch = max(1, _BATCH_CELLS // (d * (n + 1)))
     maxima = []
-    for rep in range(reps):
-        model = null.sample_model(n, d, rng.child(rep, 0))
-        pairs = wbs.draw_intervals(n, intervals, rng.child(rep, 1)).pairs
-        maxima.append(replicate_maxima(model, [(l, u) for l, u in pairs if u - l > 1]))
+    for first in range(0, reps, batch):
+        models, pairs = [], []
+        for rep in range(first, min(first + batch, reps)):
+            models.append(null.sample_model(n, d, rng.child(rep, 0)))
+            drawn = np.array(wbs.draw_intervals(n, intervals, rng.child(rep, 1)).pairs)
+            pairs.append(drawn[drawn[:, 1] - drawn[:, 0] > 1])
+        maxima.extend(batch_maxima(models, pairs))
     return np.array(maxima)
+
+
+def _equal_length_blocks(models: list[CostModel], pairs):
+    """The intervals of a batch of replicates, as blocks of equal length.
+
+    Yields ``(block, slots)``.  ``block`` is a ``CostModel`` of n = L whose
+    rows are the prefix windows ``cum_y[:, l - 1 : u + 1]`` of G intervals
+    of length L = u - l + 1, stacked member by member, so that
+    ``block.gain_matrix(1, L)`` reshaped to (G, d, L - 1) holds each
+    member's ``gain_matrix(l, u)``, computed by the same operations.
+    ``slots`` are the members' positions in ``pairs`` flattened in order.
+    A block holds at most ``_BLOCK_CELLS`` prefix cells, or one window; a
+    single window is a view of its replicate's table.
+    """
+    reps = np.repeat(np.arange(len(pairs)), [len(rep_pairs) for rep_pairs in pairs])
+    starts, ends = np.concatenate(pairs).T
+    lengths = ends - starts + 1
+    order = np.argsort(lengths, kind="stable")
+    kind, d = models[0].kind, models[0].d
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        length = int(lengths[group[0]])
+        size = max(1, _BLOCK_CELLS // (d * (length + 1)))
+        for first in range(0, len(group), size):
+            slots = group[first : first + size]
+            members = list(zip(reps[slots].tolist(), starts[slots].tolist()))
+            windows = [models[rep].cum_y[:, l - 1 : l + length] for rep, l in members]
+            cum_y = windows[0] if len(windows) == 1 else np.concatenate(windows)
+            r = np.concatenate([models[rep].r for rep, _ in members]) if kind == NEGBIN else None
+            yield CostModel(kind, n=length, d=len(cum_y), sigma=None, r=r, cum_y=cum_y), slots
+
+
+def _split_by_replicate(values: np.ndarray, pairs) -> list[np.ndarray]:
+    """``values`` of the batch's intervals in flat order, one part per replicate."""
+    return np.split(values, np.cumsum([len(rep_pairs) for rep_pairs in pairs])[:-1])
 
 
 def _screen_error(model: CostModel, pairs, screened: np.ndarray, alpha: float) -> np.ndarray:
@@ -160,27 +210,35 @@ def _screen_error(model: CostModel, pairs, screened: np.ndarray, alpha: float) -
     ))
 
 
-def _branch_maxima(model: CostModel, pairs, alpha: float) -> np.ndarray:
-    """Largest sparse and dense ``branch_sums`` of one dataset over ``pairs``,
-    bit-identical to a float64 scan of every interval.
+def _branch_maxima(models: list[CostModel], pairs, alpha: float) -> np.ndarray:
+    """Largest sparse and dense ``branch_sums`` of each dataset over its
+    ``pairs``, shape (len(models), 2), bit-identical to a float64 scan of
+    every interval.
 
-    Each interval is scanned in float32 first, giving maxima m[k] within
-    e[k] (``_screen_error``) of the float64 ones.  The interval holding a
+    Every interval is scanned in float32 first, in blocks of equal length
+    (``_equal_length_blocks``), giving maxima m[k] within e[k]
+    (``_screen_error``) of the float64 ones.  The interval holding a
     branch's float64 maximum then has m[k] + e[k] >= max_j (m[j] - e[j]);
     only intervals passing that test for either branch, or with a
-    non-finite m[k] + e[k], are rescanned in float64.
+    non-finite m[k] + e[k], are rescanned in float64 on their own dataset.
     """
-
-    def maxima(l: int, u: int, dtype) -> tuple[float, float]:
-        sparse, dense = branch_sums(model.gain_matrix(l, u, dtype), alpha)
-        return sparse.max(), dense.max()
-
-    screened = np.array([maxima(l, u, np.float32) for l, u in pairs], dtype=float)
-    error = _screen_error(model, pairs, screened, alpha)
-    finite = np.isfinite(screened + error)
-    floor = np.where(finite, screened - error, -np.inf).max(axis=0)
-    verify = np.flatnonzero(np.any(~finite | (screened + error >= floor), axis=1))
-    return np.max([maxima(*pairs[k], np.float64) for k in verify], axis=0)
+    screened = np.empty((sum(map(len, pairs)), 2))
+    for block, slots in _equal_length_blocks(models, pairs):
+        gains = block.gain_matrix(1, block.n, np.float32)
+        sums = branch_sums(gains.reshape(len(slots), -1, block.n - 1), alpha)
+        screened[slots] = np.column_stack([s.max(axis=-1) for s in sums])
+    out = []
+    for model, rep_pairs, rep_screened in zip(models, pairs, _split_by_replicate(screened, pairs)):
+        error = _screen_error(model, rep_pairs, rep_screened, alpha)
+        finite = np.isfinite(rep_screened + error)
+        floor = np.where(finite, rep_screened - error, -np.inf).max(axis=0)
+        verify = np.flatnonzero(np.any(~finite | (rep_screened + error >= floor), axis=1))
+        rescans = [
+            branch_sums(model.gain_matrix(l, u), alpha)
+            for l, u in np.asarray(rep_pairs)[verify].tolist()
+        ]
+        out.append(np.max([(sparse.max(), dense.max()) for sparse, dense in rescans], axis=0))
+    return np.array(out)
 
 
 def _minimal_quiet_beta(sparse_max, dense_max, d: int):
@@ -223,7 +281,7 @@ def calibrate_beta(
     alpha = 2.0 * math.log(d)
     sparse_max, dense_max = _null_maxima(
         n, d, null, rng, target_fp, reps, intervals,
-        lambda model, pairs: _branch_maxima(model, pairs, alpha),
+        lambda models, pairs: _branch_maxima(models, pairs, alpha),
     ).T
     minima = _minimal_quiet_beta(sparse_max, dense_max, d)
     beta = float(np.quantile(minima, 1.0 - target_fp, method="higher"))
@@ -233,6 +291,18 @@ def calibrate_beta(
         K=dense_cap(beta, d),
         source="calibrated",
     )
+
+
+def _aggregated_maxima(models: list[CostModel], pairs, method: str) -> list[float]:
+    """Largest ``baselines.baseline_statistic`` of each dataset over its
+    ``pairs``, every interval priced in a block of equal length
+    (``_equal_length_blocks``).  The binweight cut-off takes the datasets'
+    n, not a block's."""
+    stats = np.empty(sum(map(len, pairs)))
+    for block, slots in _equal_length_blocks(models, pairs):
+        w = baselines.cusum_matrix(block, 1, block.n).reshape(len(slots), -1, block.n - 1)
+        stats[slots] = baselines.baseline_statistic(w, method, models[0].n).max(axis=-1)
+    return [part.max() for part in _split_by_replicate(stats, pairs)]
 
 
 def calibrate_baseline_threshold(
@@ -252,9 +322,8 @@ def calibrate_baseline_threshold(
     """
     if null.kind != GAUSSIAN:
         raise InputDataError("baseline calibration is defined for the Gaussian model only")
-
-    def aggregated_max(model: CostModel, pairs) -> float:
-        return np.max([baselines.baseline_statistic(model, method, l, u).max() for l, u in pairs])
-
-    maxima = _null_maxima(n, d, null, rng, target_fp, reps, intervals, aggregated_max)
+    maxima = _null_maxima(
+        n, d, null, rng, target_fp, reps, intervals,
+        lambda models, pairs: _aggregated_maxima(models, pairs, method),
+    )
     return float(np.quantile(maxima, 1.0 - target_fp, method="higher"))

@@ -27,11 +27,12 @@ if TYPE_CHECKING:
 def branch_sums(gains: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Unpenalised sparse and dense sums at every split, in ``gains``' dtype.
 
-    ``gains`` has shape (d, u-l) as from ``CostModel.gain_matrix``; the sums
-    are sum_i max(D[i, t] - alpha, 0) and sum_i D[i, t].  Subtracting beta
-    and K gives the two branch values.
+    ``gains`` has variates on axis -2, as the (d, u-l) blocks from
+    ``CostModel.gain_matrix``; that axis is reduced.  The sums are
+    sum_i max(D[i, t] - alpha, 0) and sum_i D[i, t].  Subtracting beta and K
+    gives the two branch values.
     """
-    return np.maximum(gains - alpha, 0.0).sum(axis=0), gains.sum(axis=0)
+    return np.maximum(gains - alpha, 0.0).sum(axis=-2), gains.sum(axis=-2)
 
 
 def scan_interval(

@@ -142,15 +142,40 @@ def branch_maxima(model, pairs, alpha: float) -> np.ndarray:
     return np.max(maxima, axis=0)
 
 
-def calibration_maxima(n: int, d: int, null, rng, reps: int, intervals: int) -> np.ndarray:
-    """Per-replicate ``branch_maxima`` (reps, 2), on the datasets and interval
-    sets that ``calibrate_beta`` draws from ``rng``."""
+def baseline_maxima(model, pairs, method: str) -> float:
+    """Largest mean, max or binweight (cut-off sqrt(2 ln n)) aggregate of
+    |CUSUM| over every interval with a split, one interval at a time: one
+    baseline calibration replicate."""
+    cut = math.sqrt(2.0 * math.log(model.n))
+    best = -math.inf
+    for l, u in pairs:
+        if u - l > 1:
+            w = np.abs(model.cusum(l, u))
+            if method == "mean":
+                stat = w.mean(axis=0)
+            elif method == "max":
+                stat = w.max(axis=0)
+            else:
+                stat = np.where(w > cut, w, 0.0).sum(axis=0)
+            best = max(best, stat.max())
+    return best
+
+
+def calibration_maxima(
+    n: int, d: int, null, rng, reps: int, intervals: int, method: str | None = None
+) -> np.ndarray:
+    """Per-replicate ``branch_maxima`` (reps, 2), or ``baseline_maxima`` of
+    ``method`` (reps,), on the datasets and interval sets that calibration
+    draws from ``rng``."""
     alpha = 2.0 * math.log(d)
     maxima = []
     for rep in range(reps):
         model = null.sample_model(n, d, rng.child(rep, 0))
         pairs = package_draw_intervals(n, intervals, rng.child(rep, 1)).pairs
-        maxima.append(branch_maxima(model, pairs, alpha))
+        if method is None:
+            maxima.append(branch_maxima(model, pairs, alpha))
+        else:
+            maxima.append(baseline_maxima(model, pairs, method))
     return np.array(maxima)
 
 

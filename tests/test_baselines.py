@@ -79,7 +79,7 @@ def test_baseline_statistic_uses_the_derived_binweight_cut_off():
     between = 0
     for l, u in ((1, 60), (10, 45)):
         for method in ("mean", "max", "binweight"):
-            got = baseline_statistic(model, method, l, u)
+            got = baseline_statistic(cusum_matrix(model, l, u), method, n)
             assert got.shape == (u - l,)
             for t in range(l, u):
                 w = [abs(oracles.cusum(y[i], l, u, t)) for i in range(d)]

@@ -474,6 +474,8 @@ def test_negative_seed_fails_with_a_message(tmp_path, capsys, command):
         (["simulate", "--scenario", "Aprime", "--n", "300", "--delta", "inf"], "non-zero"),
         (["calibrate", "--n", "-5", "--d", "3", "--reps", "20"], "needs n >= 3, got -5"),
         (["calibrate", "--n", "2", "--d", "3", "--reps", "20"], "needs n >= 3, got 2"),
+        (["calibrate", "--n", "1000", "--d", "1000", "--reps", "20", "--intervals", "-1"],
+         "interval count must be >= 0, got -1"),
     ],
 )
 def test_non_finite_model_parameters_fail_before_sampling(monkeypatch, capsys, args, message):

@@ -1,6 +1,7 @@
 """Penalty construction: defaults, the closed-form sparse threshold, calibration."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from oracles import (
     sparse_beta_closed_form,
 )
 from subsetcp import (
+    BASELINE_METHODS,
     GAUSSIAN,
     NEGBIN,
     CostModel,
@@ -37,7 +39,14 @@ from subsetcp import (
     scan_interval,
     theoretical_penalties,
 )
-from subsetcp.penalties import _branch_maxima, _minimal_quiet_beta, _null_maxima, _screen_error
+from subsetcp import baselines, penalties
+from subsetcp.penalties import (
+    _aggregated_maxima,
+    _branch_maxima,
+    _minimal_quiet_beta,
+    _null_maxima,
+    _screen_error,
+)
 
 
 def test_default_penalty_hand_values():
@@ -120,17 +129,28 @@ def test_calibration_input_validation():
         calibrate_beta(100, 5, null, rng, target_fp=0.0, reps=50)
 
 
+def _no_draws(*args):
+    raise AssertionError("a null dataset was sampled")
+
+
 @pytest.mark.parametrize("n", (-5, 0, 2))
 def test_calibration_rejects_a_short_series_before_sampling(monkeypatch, n):
-    def no_draws(*args):
-        raise AssertionError("a null dataset was sampled")
-
-    monkeypatch.setattr(NullModel, "sample_model", no_draws)
+    monkeypatch.setattr(NullModel, "sample_model", _no_draws)
     null = NullModel(kind=GAUSSIAN)
     with pytest.raises(InputDataError, match=f"calibration needs n >= 3, got {n}"):
         calibrate_beta(n, 3, null, RandomSource(0), reps=20)
     with pytest.raises(InputDataError, match=f"calibration needs n >= 3, got {n}"):
         calibrate_baseline_threshold(n, 3, "mean", null, RandomSource(0), reps=20)
+
+
+def test_calibration_rejects_a_negative_interval_count_before_sampling(monkeypatch):
+    monkeypatch.setattr(NullModel, "sample_model", _no_draws)
+    null = NullModel(kind=GAUSSIAN)
+    with pytest.raises(InputDataError, match="interval count must be >= 0, got -1"):
+        calibrate_beta(1000, 1000, null, RandomSource(0), reps=20, intervals=-1)
+    with pytest.raises(InputDataError, match="interval count must be >= 0, got -1"):
+        calibrate_baseline_threshold(1000, 3, "mean", null, RandomSource(0), reps=20,
+                                     intervals=-1)
 
 
 def test_calibration_is_reproducible():
@@ -142,33 +162,85 @@ def test_calibration_is_reproducible():
     assert a.K == pytest.approx(dense_cap(a.beta, 4), abs=1e-12)
 
 
+def _block_windows(models, block, l, u):
+    """The (replicate, l, u) of each window stacked in a block of
+    ``_equal_length_blocks``: (1, L) priced on G d rows of L + 1 prefix sums.
+    A window is found by its second prefix column, unique on Gaussian data,
+    then matched in full."""
+    assert (l, u) == (1, block.n)
+    d = models[0].d
+    owners = {
+        model.cum_y[:, j].tobytes(): (rep, j)
+        for rep, model in enumerate(models)
+        for j in range(1, model.n + 1)
+    }
+    found = []
+    for window in block.cum_y.reshape(-1, d, block.n + 1):
+        rep, start = owners[window[:, 1].tobytes()]
+        assert np.array_equal(window, models[rep].cum_y[:, start - 1 : start + block.n])
+        found.append((rep, start, start + block.n - 1))
+    return found
+
+
 def test_calibration_prices_every_split_interval_once_per_replicate(monkeypatch):
-    # perfbench counts calibration's gain cells by wrapping the class
-    # attribute CostModel.gain_matrix, so every interval with a split must be
-    # priced through it: once in float32 per replicate, then rescanned in
-    # float64 only where the screen cannot decide.
-    calls = []
-    original = CostModel.gain_matrix
+    # perfbench counts calibration's gain and |CUSUM| cells by wrapping the
+    # class attribute CostModel.gain_matrix and baselines.cusum_matrix, so
+    # every interval with a split must be priced through them: once per
+    # replicate in a block of equal-length windows (float32 for the beta
+    # screen), then, for beta, rescanned in float64 on the replicate's own
+    # model only where the screen cannot decide.
+    models, gain_calls, cusum_calls = [], [], []
+    sample, gain, cusum = NullModel.sample_model, CostModel.gain_matrix, baselines.cusum_matrix
 
-    def counting(model, l, u, dtype=np.float64):
-        calls.append((l, u, np.dtype(dtype)))
-        return original(model, l, u, dtype)
+    def sampling(null, n, d, rng):
+        models.append(sample(null, n, d, rng))
+        return models[-1]
 
-    monkeypatch.setattr(CostModel, "gain_matrix", counting)
+    def counting_gain(model, l, u, dtype=np.float64):
+        gain_calls.append((model, l, u, np.dtype(dtype)))
+        return gain(model, l, u, dtype)
+
+    def counting_cusum(model, l, u):
+        cusum_calls.append((model, l, u))
+        return cusum(model, l, u)
+
+    monkeypatch.setattr(NullModel, "sample_model", sampling)
+    monkeypatch.setattr(CostModel, "gain_matrix", counting_gain)
+    monkeypatch.setattr(baselines, "cusum_matrix", counting_cusum)
     n, d, reps, intervals = 80, 4, 20, 15
     src = RandomSource(9)
-    calibrate_beta(n, d, NullModel(kind=GAUSSIAN), src, target_fp=0.1, reps=reps,
-                   intervals=intervals)
     expected = [
-        (l, u)
+        (rep, l, u)
         for rep in range(reps)
         for l, u in draw_intervals(n, intervals, src.child(rep, 1)).pairs
         if u - l > 1
     ]
-    assert [(l, u) for l, u, dtype in calls if dtype == np.float32] == expected
-    rescans = [(l, u) for l, u, dtype in calls if dtype == np.float64]
+    cells = sum(d * (u - l) for _, l, u in expected)
+
+    calibrate_beta(n, d, NullModel(kind=GAUSSIAN), src, target_fp=0.1, reps=reps,
+                   intervals=intervals)
+    assert len(models) == reps
+    screens = [(m, l, u) for m, l, u, dtype in gain_calls if dtype == np.float32]
+    assert sum(block.d * (u - l) for block, l, u in screens) == cells
+    covered = [w for call in screens for w in _block_windows(models, *call)]
+    assert Counter(covered) == Counter(expected)
+    assert len(screens) < len(expected)
+    rescans = [
+        (next(rep for rep, own in enumerate(models) if own is model), l, u)
+        for model, l, u, dtype in gain_calls
+        if dtype == np.float64
+    ]
     assert reps <= len(rescans) < len(expected)
     assert set(rescans) <= set(expected)
+
+    models.clear()
+    calibrate_baseline_threshold(n, d, "max", NullModel(kind=GAUSSIAN), src, target_fp=0.1,
+                                 reps=reps, intervals=intervals)
+    assert len(models) == reps
+    assert sum(block.d * (u - l) for block, l, u in cusum_calls) == cells
+    covered = [w for call in cusum_calls for w in _block_windows(models, *call)]
+    assert Counter(covered) == Counter(expected)
+    assert len(cusum_calls) < len(expected)
 
 
 def test_calibrated_threshold_hits_target_on_fresh_nulls():
@@ -312,8 +384,9 @@ def _screened_datasets(draw):
 @given(data=_screened_datasets())
 def test_screened_replicate_maxima_equal_the_float64_scan(data):
     model, pairs, alpha = data
-    screened = _branch_maxima(model, pairs, alpha)
-    assert screened.tobytes() == branch_maxima(model, pairs, alpha).tobytes()
+    screened = _branch_maxima([model], [pairs], alpha)
+    assert screened.shape == (1, 2)
+    assert screened[0].tobytes() == branch_maxima(model, pairs, alpha).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -358,8 +431,58 @@ def test_calibrated_beta_equals_the_unscreened_loop(n, d, intervals, null, seed)
     alpha = 2.0 * math.log(d)
     maxima = _null_maxima(
         n, d, null, RandomSource(seed), target_fp, reps, intervals,
-        lambda model, pairs: _branch_maxima(model, pairs, alpha),
+        lambda models, pairs: _branch_maxima(models, pairs, alpha),
     )
     assert maxima.tobytes() == expected.tobytes()
     pen = calibrate_beta(n, d, null, RandomSource(seed), target_fp, reps, intervals)
     assert pen.beta == calibrated_beta(expected, d, target_fp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 60),
+    d=st.integers(2, 4),
+    intervals=st.sampled_from([0, 3, 30]),
+    null=st.sampled_from([
+        NullModel(kind=GAUSSIAN),
+        NullModel(kind=GAUSSIAN, estimate_scale=True),
+        NullModel(kind=NEGBIN, r=20.0, p=0.5),
+        NullModel(kind=NEGBIN, r=0.5, p=0.95),
+    ]),
+    block_cells=st.sampled_from([1, 100, 2**15]),
+    batch_cells=st.sampled_from([1, 500, 2**17]),
+    seed=st.integers(0, 1000),
+)
+# d = 2, with groups of short intervals split over blocks of a few windows
+@example(n=40, d=2, intervals=30, null=NullModel(kind=GAUSSIAN), block_cells=100,
+         batch_cells=500, seed=1)
+@example(n=40, d=2, intervals=30, null=NullModel(kind=NEGBIN, r=20.0, p=0.5),
+         block_cells=100, batch_cells=2**17, seed=2)
+# one replicate per batch and one window per block: single-interval groups
+@example(n=25, d=3, intervals=3, null=NullModel(kind=GAUSSIAN), block_cells=1,
+         batch_cells=1, seed=3)
+def test_batched_replicate_maxima_equal_the_per_interval_loop(
+    n, d, intervals, null, block_cells, batch_cells, seed
+):
+    reps, target_fp = 20, 0.1
+    alpha = 2.0 * math.log(d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(penalties, "_BLOCK_CELLS", block_cells)
+        patch.setattr(penalties, "_BATCH_CELLS", batch_cells)
+        maxima = _null_maxima(
+            n, d, null, RandomSource(seed), target_fp, reps, intervals,
+            lambda models, pairs: _branch_maxima(models, pairs, alpha),
+        )
+        expected = calibration_maxima(n, d, null, RandomSource(seed), reps, intervals)
+        assert maxima.tobytes() == expected.tobytes()
+        if null.kind != GAUSSIAN:
+            return
+        for method in BASELINE_METHODS:
+            maxima = _null_maxima(
+                n, d, null, RandomSource(seed), target_fp, reps, intervals,
+                lambda models, pairs: _aggregated_maxima(models, pairs, method),
+            )
+            expected = calibration_maxima(
+                n, d, null, RandomSource(seed), reps, intervals, method
+            )
+            assert maxima.tobytes() == expected.tobytes()
