@@ -34,8 +34,8 @@ R_MAX = 1e4
 # Unit roundoff of float32 plus that of float64: an error bound linear in u
 # then covers a float32 result's distance from the float64 one.
 SCREEN_ROUNDOFF = 2.0**-24 + 2.0**-53
-# Cells per block of rows in ``estimate_sigma``.
-_SIGMA_BLOCK_CELLS = 2**16
+# Cells per block of rows in ``estimate_sigma`` and ``CostModel.cusum``.
+_ROW_BLOCK_CELLS = 2**16
 
 
 @dataclass(eq=False)
@@ -89,18 +89,27 @@ class CostModel:
         Column ``t - l`` holds sqrt(left*right/length) * (right mean - left
         mean) of the sigma-scaled series; its square is the Gaussian gain.
         ``dtype`` is the working precision; the sums are float64 differences
-        of the prefix table, rounded once to it.
+        of the prefix table, rounded once to it.  The output is filled a
+        block of rows at a time, so the only temporary is one block of left
+        sums.
         """
         if self.kind != GAUSSIAN:
             raise InputDataError("CUSUM statistics are defined for the Gaussian model only")
         self._check_interval(l, u)
-        base = self.cum_y[:, l - 1 : l]
-        sum_left = np.subtract(self.cum_y[:, l:u], base, out=np.empty((self.d, u - l), dtype))
         length = u - l + 1
         len_left = np.arange(1, length, dtype=dtype)
-        w = (self.cum_y[:, u : u + 1] - base).astype(dtype, copy=False) * (len_left / length)
-        w -= sum_left
-        w *= np.sqrt(length / (len_left * (length - len_left)))
+        share = len_left / length
+        norm = np.sqrt(length / (len_left * (length - len_left)))
+        w = np.empty((self.d, u - l), dtype)
+        step = max(1, _ROW_BLOCK_CELLS // (u - l))
+        for start in range(0, self.d, step):
+            rows = self.cum_y[start : start + step]
+            base = rows[:, l - 1 : l]
+            sum_left = np.subtract(rows[:, l:u], base, out=np.empty((len(rows), u - l), dtype))
+            block = w[start : start + step]
+            np.multiply((rows[:, u : u + 1] - base).astype(dtype, copy=False), share, out=block)
+            block -= sum_left
+            block *= norm
         return w
 
     def gain_matrix(self, l: int, u: int, dtype=np.float64) -> np.ndarray:
@@ -209,19 +218,23 @@ def estimate_sigma(y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] < 2:
         raise ValueError("need a 1-d series, or a 2-d block of series, of length >= 2")
-    rows = y.reshape(-1, y.shape[-1])
-    mad = np.empty(len(rows))
-    step = max(1, _SIGMA_BLOCK_CELLS // rows.shape[1])
-    for start in range(0, len(rows), step):
-        diffs = np.diff(rows[start : start + step], axis=1)
-        diffs -= np.median(diffs, axis=1, keepdims=True)
-        mad[start : start + step] = np.median(np.abs(diffs, out=diffs), axis=1)
-    sigma = mad / (_MAD_CONST * math.sqrt(2.0))
+    sigma = _mad_sigma(y.reshape(-1, y.shape[-1]))
     if np.any(sigma <= 0.0):
         raise NumericalError(
             "scale estimate is zero (series nearly constant); pass sigma explicitly"
         )
     return float(sigma[0]) if y.ndim == 1 else sigma
+
+
+def _mad_sigma(rows: np.ndarray) -> np.ndarray:
+    """``estimate_sigma`` of each row of a 2-d block, zeros included."""
+    mad = np.empty(len(rows))
+    step = max(1, _ROW_BLOCK_CELLS // rows.shape[1])
+    for start in range(0, len(rows), step):
+        diffs = np.diff(rows[start : start + step], axis=1)
+        diffs -= np.median(diffs, axis=1, keepdims=True)
+        mad[start : start + step] = np.median(np.abs(diffs, out=diffs), axis=1)
+    return mad / (_MAD_CONST * math.sqrt(2.0))
 
 
 def estimate_dispersion(y: np.ndarray) -> float:
@@ -256,10 +269,19 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
 
 def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
     """Gaussian cost model; ``sigma`` may be a scalar, per-variate, or None
-    to estimate each variate's scale from first differences."""
+    to estimate each variate's scale from first differences
+    (``estimate_sigma``).  A zero estimate raises :class:`NumericalError`
+    naming its variates."""
     values = matrix.values
     if sigma is None:
-        sigma_arr = estimate_sigma(values)
+        sigma_arr = _mad_sigma(values)
+        flat = np.flatnonzero(sigma_arr <= 0.0)
+        if len(flat):
+            names = [matrix.variate_names[i] for i in flat]
+            raise NumericalError(
+                f"scale estimate is zero (series nearly constant) for variates {names}; "
+                "pass sigma explicitly"
+            )
     else:
         sigma_arr = np.asarray(sigma, dtype=float)
         if sigma_arr.ndim == 0:
@@ -268,15 +290,19 @@ def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
             raise InputDataError("sigma must be a scalar or one value per variate")
         if np.any(~np.isfinite(sigma_arr)) or np.any(sigma_arr <= 0):
             raise InputDataError("sigma values must be positive and finite")
-    scaled = values - values.mean(axis=1, keepdims=True)
+    # The scaled series is written into the prefix table and summed in place.
+    cum_y = np.zeros((matrix.d, matrix.n + 1))
+    scaled = cum_y[:, 1:]
+    np.subtract(values, values.mean(axis=1, keepdims=True), out=scaled)
     scaled /= sigma_arr[:, None]
+    np.cumsum(scaled, axis=1, out=scaled)
     return CostModel(
         kind=GAUSSIAN,
         n=matrix.n,
         d=matrix.d,
         sigma=sigma_arr,
         r=None,
-        cum_y=_prefix_sums(scaled),
+        cum_y=cum_y,
     )
 
 

@@ -30,9 +30,12 @@ def branch_sums(gains: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray
     ``gains`` has variates on axis -2, as the (d, u-l) blocks from
     ``CostModel.gain_matrix``; that axis is reduced.  The sums are
     sum_i max(D[i, t] - alpha, 0) and sum_i D[i, t].  Subtracting beta and K
-    gives the two branch values.
+    gives the two branch values.  The sparse terms are computed in place:
+    ``gains`` is left holding max(D - alpha, 0).
     """
-    return np.maximum(gains - alpha, 0.0).sum(axis=-2), gains.sum(axis=-2)
+    dense = gains.sum(axis=-2)
+    gains -= alpha
+    return np.maximum(gains, 0.0, out=gains).sum(axis=-2), dense
 
 
 def scan_interval(
@@ -42,7 +45,8 @@ def scan_interval(
 
     Ties over ``t`` keep the smallest ``t``; an exact tie between branches
     is labelled sparse.  The sparse affected set is {i : D[i, t*] > alpha},
-    the dense one is every variate.
+    read from the excesses ``branch_sums`` leaves (a rounded D - alpha is
+    positive exactly when D > alpha); the dense one is every variate.
     """
     if u - l <= 1:
         raise ValueError(f"interval ({l}, {u}) has no interior split")
@@ -58,7 +62,7 @@ def scan_interval(
     if s1[best] >= s2[best]:
         kind = KIND_SPARSE
         affected = frozenset(
-            int(i) + 1 for i in np.flatnonzero(gains[:, best] > penalties.alpha)
+            int(i) + 1 for i in np.flatnonzero(gains[:, best] > 0.0)
         )
     else:
         kind = KIND_DENSE

@@ -95,6 +95,19 @@ def cusum(y, l: int, u: int, t: int, sigma: float = 1.0) -> float:
     return float(scale * (right.mean() - left.mean()) / sigma)
 
 
+def one_pass_cusum(model, l: int, u: int, dtype=np.float64) -> np.ndarray:
+    """``CostModel.cusum`` computed for every row at once: the same
+    arithmetic on each row, with whole-block temporaries."""
+    base = model.cum_y[:, l - 1 : l]
+    sum_left = np.subtract(model.cum_y[:, l:u], base, out=np.empty((model.d, u - l), dtype))
+    length = u - l + 1
+    len_left = np.arange(1, length, dtype=dtype)
+    w = (model.cum_y[:, u : u + 1] - base).astype(dtype, copy=False) * (len_left / length)
+    w -= sum_left
+    w *= np.sqrt(length / (len_left * (length - len_left)))
+    return w
+
+
 def baseline_statistic(method: str, threshold: float, w_row, binweight_alpha=None) -> float:
     """Aggregated CUSUM row (mean, max or thresholded sum) minus the threshold."""
     w = [float(x) for x in w_row]

@@ -88,7 +88,7 @@ def test_scan_matches_exhaustive_subset_maximization():
         beta = float(g.uniform(0.5, 6.0))
         K = beta + d + math.sqrt(2 * beta * d)
         gains = model.gain_matrix(1, n)
-        sparse, dense = branch_sums(gains, alpha)
+        sparse, dense = branch_sums(gains.copy(), alpha)
         s = np.maximum(sparse - beta, dense - K)
 
         masks = np.array(list(itertools.product((0.0, 1.0), repeat=d)))

@@ -8,12 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import subsetcp
+from subsetcp import RandomSource, generate, scenario, theoretical_penalties
 from subsetcp.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -309,10 +311,42 @@ def test_constant_gaussian_series_fails_numerically(tmp_path, capsys):
         "--intervals", "20", "--output", str(tmp_path / "r.json"),
     ]
     assert main(base) == 2
-    assert "pass sigma explicitly" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "scale estimate is zero" in err and "pass sigma explicitly" in err
+    assert "variates ['a']" in err
     # known sigma moves the failure to the residual diagnostic, same exit code
     assert main([*base, "--sigma", "1.0"]) == 2
     assert "zero-variance residual" in capsys.readouterr().err
+
+
+def test_wide_detect_holds_few_copies_of_the_panel(tmp_path, capsys):
+    # The input matrix and the prefix table are one panel (8 d n bytes) each;
+    # every stage adds at most one more working panel, so a job peaks at
+    # about 3.3 panels.  A second working panel in the scans or the
+    # diagnostics (a whole-panel CUSUM temporary: 4.2; the excess matrix of
+    # the branch sums: 5.2; a private copy of the residuals: 4.3) pushes it
+    # past 4.
+    n = d = 1000
+    matrix, _ = generate(scenario("E", model="gaussian", n=n, d=d), RandomSource(0).child(0))
+    path = tmp_path / "wide.csv"
+    with open(path, "w") as handle:
+        handle.write("time," + ",".join(matrix.variate_names) + "\n")
+        rows = np.column_stack([np.arange(1, n + 1), matrix.values.T])
+        np.savetxt(handle, rows, delimiter=",", fmt="%.17g")
+    pen = theoretical_penalties(n, d, J=4)
+    args = [
+        "detect", "--input", str(path), "--output", str(tmp_path / "r.json"),
+        "--intervals", "50",
+        "--alpha", repr(pen.alpha), "--beta", repr(pen.beta), "--K", repr(pen.K),
+    ]
+    tracemalloc.start()
+    try:
+        rc = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    assert peak / (8 * n * d) < 4.0
 
 
 def test_all_zero_count_variate_fails_in_the_residual_diagnostic(tmp_path, capsys):

@@ -2,6 +2,7 @@
 the brute-force oracles in ``oracles.py``."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+import subsetcp.costs as costs
 from oracles import (
     d_statistic,
     fixed_r_model,
@@ -17,6 +19,7 @@ from oracles import (
     negbin_loglik,
     negbin_mle_p,
     negbin_span_cost,
+    one_pass_cusum,
 )
 from subsetcp import (
     InputDataError,
@@ -235,6 +238,44 @@ def test_prefix_sums_match_direct_summation_everywhere():
                 for t in range(l, u):
                     direct = d_statistic(series, l, u, t, **param)
                     assert gains[t - l] == pytest.approx(direct, rel=1e-9, abs=1e-9)
+
+
+def test_gaussian_prefix_table_is_the_scaled_series_summed_in_place():
+    rng = np.random.default_rng(61)
+    values = 1e8 + rng.standard_normal((7, 300)) * rng.uniform(0.1, 10.0, size=(7, 1))
+    model = gaussian_model(make_matrix(values))
+    scaled = (values - values.mean(axis=1, keepdims=True)) / model.sigma[:, None]
+    expected = np.zeros((7, 301))
+    np.cumsum(scaled, axis=1, out=expected[:, 1:])
+    assert model.cum_y.tobytes() == expected.tobytes()
+    # The table is the only panel-size array the build allocates: a scaled
+    # copy summed into a new table would take two panels.
+    matrix = make_matrix(rng.standard_normal((1000, 1000)))
+    tracemalloc.start()
+    try:
+        gaussian_model(matrix, sigma=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 1000 * 1001) < 1.5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows_per_block", [None, 1, 9])
+def test_blocked_cusum_equals_the_one_pass_formula(monkeypatch, dtype, rows_per_block):
+    # 700 variates: the default block takes 164 rows of the full interval,
+    # and 9 rows a block leaves a short last block too.
+    rng = np.random.default_rng(67)
+    values = rng.standard_normal((700, 400)) + rng.uniform(-1e8, 1e8, size=(700, 1))
+    values[:10, 250:] += 2.0
+    model = gaussian_model(make_matrix(values))
+    for l, u in ((1, 400), (17, 260), (200, 202), (399, 400)):
+        if rows_per_block is not None:
+            monkeypatch.setattr(costs, "_ROW_BLOCK_CELLS", rows_per_block * (u - l))
+        w = model.cusum(l, u, dtype)
+        expected = one_pass_cusum(model, l, u, dtype)
+        assert w.dtype == expected.dtype == dtype
+        assert w.tobytes() == expected.tobytes()
 
 
 def test_model_builders_validate_inputs():

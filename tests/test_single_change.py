@@ -107,11 +107,28 @@ def test_scan_matches_exhaustive_subset_search():
         K = beta + d + math.sqrt(2 * beta * d)
         pen = PenaltyConfig(alpha=alpha, beta=beta, K=K, source="manual")
         gains = model.gain_matrix(1, n)
-        sparse, dense = branch_sums(gains, alpha)
+        sparse, dense = branch_sums(gains.copy(), alpha)
         brute_value, brute_t = _brute_force_best(gains, alpha, beta, K)
         s = np.maximum(sparse - beta, dense - K)
         assert float(s.max()) == pytest.approx(brute_value, abs=1e-9)
         assert int(np.argmax(s)) == brute_t
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_branch_sums_equal_the_allocating_form_and_leave_the_excesses(dtype):
+    # A batch of 3 blocks of 7 variates, with gains equal to alpha and zeros.
+    rng = np.random.default_rng(73)
+    alpha = 2.5
+    gains = (3.0 * rng.standard_normal((3, 7, 40)) ** 2).astype(dtype)
+    gains[0, :, :5] = alpha
+    gains[1, :, :5] = 0.0
+    excess = np.maximum(gains - alpha, 0.0)
+    expected = (excess.sum(axis=-2), gains.sum(axis=-2))
+    sums = branch_sums(gains, alpha)
+    for got, want in zip(sums, expected):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+    assert gains.tobytes() == excess.tobytes()
 
 
 def test_statistic_is_branch_maximum_and_gains_nonnegative():
@@ -119,7 +136,7 @@ def test_statistic_is_branch_maximum_and_gains_nonnegative():
     model = gaussian_model(make_matrix(rng.standard_normal((4, 30))), sigma=1.0)
     pen = PenaltyConfig(alpha=1.0, beta=2.0, K=9.0, source="manual")
     gains = model.gain_matrix(3, 28)
-    sparse, dense = branch_sums(gains, pen.alpha)
+    sparse, dense = branch_sums(gains.copy(), pen.alpha)
     assert np.all(gains >= 0.0)
     s = np.maximum(sparse - pen.beta, dense - pen.K)
     det = scan_interval(model, pen, 3, 28)
