@@ -100,10 +100,10 @@ def cmd_detect(args) -> int:
     result = subset_wbs(model, penalties, intervals)
     if not args.no_postprocess:
         result = postprocess(model, result)
-    scale = model.sigma if args.model == GAUSSIAN else model.r
+    kind, scale = model.kind, model.scale
     del model  # the diagnostics need no prefix table
 
-    mean_corr = pearson_residual_correlations(matrix, args.model, scale, result)
+    mean_corr = pearson_residual_correlations(matrix, kind, scale, result)
     report = build_report(matrix, result, args.model, args.seed, args.intervals, mean_corr)
     write_report(report, args.output)
     pairs_path = str(args.output)

@@ -56,6 +56,11 @@ class CostModel:
     r: np.ndarray | None
     cum_y: np.ndarray
 
+    @property
+    def scale(self) -> np.ndarray:
+        """Per-variate residual scale: sigma for Gaussian, dispersion r for counts."""
+        return self.sigma if self.kind == GAUSSIAN else self.r
+
     def span_cost(self, total, length):
         """Cost of spans with the given sums and lengths, up to additive terms.
 

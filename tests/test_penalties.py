@@ -395,8 +395,8 @@ def test_float32_branch_values_lie_within_the_screen_bound(data):
     model, pairs, alpha = data
     wide = [model.gain_matrix(l, u) for l, u in pairs]
     narrow = [model.gain_matrix(l, u, np.float32) for l, u in pairs]
-    wide_sums = [branch_sums(gains, alpha) for gains in wide]
-    narrow_sums = [branch_sums(gains, alpha) for gains in narrow]
+    wide_sums = [branch_sums(gains.copy(), alpha) for gains in wide]
+    narrow_sums = [branch_sums(gains.copy(), alpha) for gains in narrow]
     screened = np.array([(s.max(), t.max()) for s, t in narrow_sums], dtype=float)
     error = _screen_error(model, pairs, screened, alpha)
     ls, us = np.array(pairs).T

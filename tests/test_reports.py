@@ -351,7 +351,7 @@ def test_gaussian_residuals_are_centred_per_segment():
     matrix = make_matrix(values)
     model = gaussian_model(matrix, sigma=2.0)
     result = _two_change_result(120)
-    resid = pearson_residuals(matrix, GAUSSIAN, model.sigma, result)
+    resid = pearson_residuals(matrix, model.kind, model.scale, result)
     assert resid.shape == (3, 120)
     assert abs(resid[0, :40].mean()) < 1e-12
     assert abs(resid[0, 40:80].mean()) < 1e-12
@@ -399,8 +399,8 @@ def test_independent_variates_have_small_residual_correlation():
     rng = np.random.default_rng(205)
     matrix = make_matrix(rng.standard_normal((4, 500)))
     model = gaussian_model(matrix, sigma=1.0)
-    mean_off = pearson_residual_correlations(matrix, GAUSSIAN, model.sigma, _null_result(500))
-    corr = np.corrcoef(pearson_residuals(matrix, GAUSSIAN, model.sigma, _null_result(500)))
+    mean_off = pearson_residual_correlations(matrix, model.kind, model.scale, _null_result(500))
+    corr = np.corrcoef(pearson_residuals(matrix, model.kind, model.scale, _null_result(500)))
     assert mean_off == np.mean(corr[~np.eye(4, dtype=bool)])
     assert abs(mean_off) < 0.06
 
@@ -411,7 +411,7 @@ def test_shared_factor_shows_up_as_residual_correlation():
     values = np.vstack([factor + 0.3 * rng.standard_normal(500) for _ in range(3)])
     matrix = make_matrix(values)
     model = gaussian_model(matrix, sigma=1.0)
-    mean_off = pearson_residual_correlations(matrix, GAUSSIAN, model.sigma, _null_result(500))
+    mean_off = pearson_residual_correlations(matrix, model.kind, model.scale, _null_result(500))
     assert mean_off > 0.5
 
 
@@ -419,7 +419,7 @@ def test_single_variate_correlation_is_defined_as_zero():
     rng = np.random.default_rng(211)
     matrix = make_matrix(rng.standard_normal((1, 50)))
     model = gaussian_model(matrix, sigma=1.0)
-    assert pearson_residual_correlations(matrix, GAUSSIAN, model.sigma, _null_result(50)) == 0.0
+    assert pearson_residual_correlations(matrix, model.kind, model.scale, _null_result(50)) == 0.0
 
 
 def test_constant_residuals_raise_with_variate_index():
@@ -427,7 +427,7 @@ def test_constant_residuals_raise_with_variate_index():
     matrix = make_matrix(values)
     model = gaussian_model(matrix, sigma=1.0)
     with pytest.raises(NumericalError, match=r"variates \['x1'\]"):
-        pearson_residual_correlations(matrix, GAUSSIAN, model.sigma, _null_result(50))
+        pearson_residual_correlations(matrix, model.kind, model.scale, _null_result(50))
 
 
 def test_count_model_residuals_standardize_on_null_data():
@@ -442,7 +442,7 @@ def test_count_model_residuals_standardize_on_null_data():
         penalties=theoretical_penalties(2000, 3),
         n=2000,
     )
-    resid = pearson_residuals(matrix, NEGBIN, model.r, result)
+    resid = pearson_residuals(matrix, model.kind, model.scale, result)
     assert abs(resid.mean()) < 0.1
     assert abs(resid.var() - 1.0) < 0.1
 
@@ -451,7 +451,7 @@ def test_count_residual_scale_matches_the_formula():
     counts = make_matrix([[1.0, 2.0, 3.0, 1.0, 2.0, 30.0, 28.0, 35.0]])
     model = negbin_model(counts)
     result = _null_result(8)
-    resid = pearson_residuals(counts, NEGBIN, model.r, result)
+    resid = pearson_residuals(counts, model.kind, model.scale, result)
     row = counts.values[0]
     mu = row.mean()
     scale = np.sqrt(mu * (1.0 + mu / model.r[0]))
