@@ -34,7 +34,6 @@ from .costs import (
     NEGBIN,
     CostModel,
     estimate_dispersion,
-    estimate_sigma,
     gaussian_model,
     negbin_model,
 )
@@ -70,7 +69,7 @@ from .simlab import (
     scenario,
     signal_matrix,
 )
-from .single_change import branch_sums, scan_interval
+from .single_change import scan_interval
 from .wbs import IntervalSet, draw_intervals, subset_wbs
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "TimeSeriesMatrix",
     "baseline_statistic",
     "baseline_wbs",
-    "branch_sums",
     "build_report",
     "calibrate_baseline_threshold",
     "calibrate_beta",
@@ -108,7 +106,6 @@ __all__ = [
     "dense_cap",
     "draw_intervals",
     "estimate_dispersion",
-    "estimate_sigma",
     "evaluate",
     "fit_model",
     "gaussian_model",

@@ -34,7 +34,8 @@ R_MAX = 1e4
 # Unit roundoff of float32 plus that of float64: an error bound linear in u
 # then covers a float32 result's distance from the float64 one.
 SCREEN_ROUNDOFF = 2.0**-24 + 2.0**-53
-# Cells per block of rows in ``estimate_sigma`` and ``CostModel.cusum``.
+# Cells per block of rows in ``_mad_sigma``, ``CostModel.cusum`` and the
+# negbin ``CostModel.gain_matrix``.
 _ROW_BLOCK_CELLS = 2**16
 
 
@@ -45,21 +46,23 @@ class CostModel:
     ``cum_y`` holds per-variate prefix sums with a leading zero column, so
     the sum over 1-based ``s..t`` is ``cum_y[:, t] - cum_y[:, s-1]``.  For
     the Gaussian model the summed series is (y - mean(y)) / sigma; for the
-    negbin model it is the raw counts.  Instances are treated as immutable
-    after construction.
+    negbin model it is the raw counts.  ``scale`` holds each variate's fixed
+    nuisance parameter: sigma for Gaussian, dispersion r for counts.  The
+    table's shape gives d and n.  Instances are treated as immutable after
+    construction.
     """
 
     kind: str
-    n: int
-    d: int
-    sigma: np.ndarray | None
-    r: np.ndarray | None
+    scale: np.ndarray
     cum_y: np.ndarray
 
     @property
-    def scale(self) -> np.ndarray:
-        """Per-variate residual scale: sigma for Gaussian, dispersion r for counts."""
-        return self.sigma if self.kind == GAUSSIAN else self.r
+    def d(self) -> int:
+        return self.cum_y.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.cum_y.shape[1] - 1
 
     def span_cost(self, total, length):
         """Cost of spans with the given sums and lengths, up to additive terms.
@@ -71,16 +74,16 @@ class CostModel:
         """
         if self.kind == GAUSSIAN:
             return -total * total / length
-        r = self.r.astype(total.dtype, copy=False)
+        r = self.scale.astype(total.dtype, copy=False)
         lr = length * r[:, None]
-        scale = lr + total
-        out = np.divide(total, scale)
-        # Floor S / scale: an empty span's S log(S / scale) is then 0 * finite = 0.
+        mass = lr + total
+        out = np.divide(total, mass)
+        # Floor S / mass: an empty span's S log(S / mass) is then 0 * finite = 0.
         np.log(np.maximum(out, np.finfo(out.dtype).tiny, out=out), out=out)
         out *= total
-        np.log(np.divide(lr, scale, out=scale), out=scale)
-        scale *= lr
-        out += scale
+        np.log(np.divide(lr, mass, out=mass), out=mass)
+        mass *= lr
+        out += mass
         out *= -2.0
         return out
 
@@ -132,19 +135,26 @@ class CostModel:
             w *= w
             return w
         self._check_interval(l, u)
-        # Column t - l holds the left and right sums of the split at t.  One
-        # more column holds the whole interval and an empty right piece, so
-        # one span_cost call also prices the full span.  Right lengths are
-        # the left ones reversed; the empty piece gets length u - l + 1, so
-        # its cost is 0 rather than 0 / 0.
-        pieces = np.empty((2, self.d, u - l + 1), dtype)
-        np.subtract(self.cum_y[:, l : u + 1], self.cum_y[:, l - 1 : l], out=pieces[0])
-        np.subtract(self.cum_y[:, u : u + 1], self.cum_y[:, l : u + 1], out=pieces[1])
+        # Column t - l of a block's pieces holds the left and right sums of
+        # the split at t.  One more column holds the whole interval and an
+        # empty right piece, so one span_cost call also prices the full
+        # span.  Right lengths are the left ones reversed; the empty piece
+        # gets length u - l + 1, so its cost is 0 rather than 0 / 0.  The
+        # output is filled a block of rows at a time, each block a model of
+        # its own, so the temporaries stay one block in size.
         len_left = np.arange(1, u - l + 2, dtype=dtype)
-        lengths = np.concatenate((len_left, len_left[-2::-1], len_left[-1:]))
-        left, right = self.span_cost(pieces, lengths.reshape(2, 1, -1))
-        gains = left[:, -1:] - left[:, :-1]
-        gains -= right[:, :-1]
+        lengths = np.concatenate((len_left, len_left[-2::-1], len_left[-1:])).reshape(2, 1, -1)
+        gains = np.empty((self.d, u - l), dtype)
+        step = max(1, _ROW_BLOCK_CELLS // (u - l))
+        for start in range(0, self.d, step):
+            part = slice(start, start + step)
+            rows = CostModel(NEGBIN, self.scale[part], self.cum_y[part])
+            pieces = np.empty((2, rows.d, u - l + 1), dtype)
+            np.subtract(rows.cum_y[:, l : u + 1], rows.cum_y[:, l - 1 : l], out=pieces[0])
+            np.subtract(rows.cum_y[:, u : u + 1], rows.cum_y[:, l : u + 1], out=pieces[1])
+            left, right = rows.span_cost(pieces, lengths)
+            block = np.subtract(left[:, -1:], left[:, :-1], out=gains[part])
+            block -= right[:, :-1]
         return np.maximum(gains, 0.0, out=gains)
 
     def gain_error_bound(self, l: np.ndarray, u: np.ndarray, dense_max: np.ndarray) -> np.ndarray:
@@ -193,9 +203,9 @@ class CostModel:
             bound = h * root + 10.0 * SCREEN_ROUNDOFF * root * root
             bound += 2.0**-140 * self.d * (1.0 + root)
             return bound if norm <= 2.0**40 else np.full(len(l), np.inf)
-        mass = self.cum_y[:, u] - self.cum_y[:, l - 1] + (u - l + 1) * self.r[:, None]
+        mass = self.cum_y[:, u] - self.cum_y[:, l - 1] + (u - l + 1) * self.scale[:, None]
         bound = 64.0 * SCREEN_ROUNDOFF * mass.sum(axis=0)
-        normal = (self.r.min() >= 2.0**-40) & (mass.max(axis=0) <= 2.0**40)
+        normal = (self.scale.min() >= 2.0**-40) & (mass.max(axis=0) <= 2.0**40)
         return np.where(normal, bound, np.inf)
 
     def boundary_cost_matrix(self, bounds: np.ndarray, j: int) -> np.ndarray:
@@ -210,29 +220,14 @@ class CostModel:
         return self.span_cost(sums[:, j:] - sums[:, :j], (bounds[j] - bounds[:j]).astype(float))
 
 
-def estimate_sigma(y: np.ndarray):
-    """Noise scale from the median absolute deviation of first differences.
+def _mad_sigma(rows: np.ndarray) -> np.ndarray:
+    """Noise scale of each row of a 2-d block, from the median absolute
+    deviation of its first differences; zeros included.
 
     Robust to mean shifts, which is why it is the default for real data.
-    ``y`` is one series, giving a float, or a (k, n) block of series, giving
-    k scales; a block is worked through a few rows at a time, so its
-    temporaries stay small however many rows it has.  Raises
-    :class:`NumericalError` when an estimate degenerates to zero (e.g. a
-    constant series); supply sigma explicitly in that case.
+    The block is worked through a few rows at a time, so its temporaries
+    stay small however many rows it has.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] < 2:
-        raise ValueError("need a 1-d series, or a 2-d block of series, of length >= 2")
-    sigma = _mad_sigma(y.reshape(-1, y.shape[-1]))
-    if np.any(sigma <= 0.0):
-        raise NumericalError(
-            "scale estimate is zero (series nearly constant); pass sigma explicitly"
-        )
-    return float(sigma[0]) if y.ndim == 1 else sigma
-
-
-def _mad_sigma(rows: np.ndarray) -> np.ndarray:
-    """``estimate_sigma`` of each row of a 2-d block, zeros included."""
     mad = np.empty(len(rows))
     step = max(1, _ROW_BLOCK_CELLS // rows.shape[1])
     for start in range(0, len(rows), step):
@@ -242,23 +237,25 @@ def _mad_sigma(rows: np.ndarray) -> np.ndarray:
     return mad / (_MAD_CONST * math.sqrt(2.0))
 
 
-def estimate_dispersion(y: np.ndarray) -> float:
+def estimate_dispersion(y: np.ndarray):
     """Method-of-moments dispersion estimate r = m^2 / (v - m), capped at ``R_MAX``.
 
-    Uses the n-1 variance denominator.  Under-dispersed series (v <= m)
-    return ``R_MAX``, which makes the model effectively Poisson, and so do
-    barely over-dispersed ones whose estimate exceeds it.  An all-zero
-    series is under-dispersed; its span costs and gains are all 0.
+    ``y`` is one count series, giving a float, or a (k, n) block of series,
+    giving k estimates.  Uses the n-1 variance denominator.
+    Under-dispersed series (v <= m) return ``R_MAX``, which makes the model
+    effectively Poisson, and so do barely over-dispersed ones whose estimate
+    exceeds it.  An all-zero series is under-dispersed; its span costs and
+    gains are all 0.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("need a 1-d series of length >= 2")
+    if y.ndim not in (1, 2) or y.shape[-1] < 2:
+        raise ValueError("need a 1-d series, or a 2-d block of series, of length >= 2")
     _validate_counts(y)
-    m = float(np.mean(y))
-    v = float(np.var(y, ddof=1))
-    if v <= m:
-        return R_MAX
-    return min(m * m / (v - m), R_MAX)
+    m = np.mean(y, axis=-1)
+    excess = np.var(y, axis=-1, ddof=1) - m
+    r = np.divide(m * m, excess, out=np.full_like(m, R_MAX), where=excess > 0)
+    r = np.minimum(r, R_MAX)
+    return float(r) if y.ndim == 1 else r
 
 
 def _validate_counts(values: np.ndarray) -> None:
@@ -275,7 +272,7 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
 def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
     """Gaussian cost model; ``sigma`` may be a scalar, per-variate, or None
     to estimate each variate's scale from first differences
-    (``estimate_sigma``).  A zero estimate raises :class:`NumericalError`
+    (``_mad_sigma``).  A zero estimate raises :class:`NumericalError`
     naming its variates."""
     values = matrix.values
     if sigma is None:
@@ -301,14 +298,7 @@ def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
     np.subtract(values, values.mean(axis=1, keepdims=True), out=scaled)
     scaled /= sigma_arr[:, None]
     np.cumsum(scaled, axis=1, out=scaled)
-    return CostModel(
-        kind=GAUSSIAN,
-        n=matrix.n,
-        d=matrix.d,
-        sigma=sigma_arr,
-        r=None,
-        cum_y=cum_y,
-    )
+    return CostModel(GAUSSIAN, sigma_arr, cum_y)
 
 
 def negbin_model(matrix: TimeSeriesMatrix) -> CostModel:
@@ -318,12 +308,4 @@ def negbin_model(matrix: TimeSeriesMatrix) -> CostModel:
     series by method of moments.
     """
     values = matrix.values
-    _validate_counts(values)
-    return CostModel(
-        kind=NEGBIN,
-        n=matrix.n,
-        d=matrix.d,
-        sigma=None,
-        r=np.array([estimate_dispersion(row) for row in values]),
-        cum_y=_prefix_sums(values),
-    )
+    return CostModel(NEGBIN, estimate_dispersion(values), _prefix_sums(values))

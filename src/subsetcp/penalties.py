@@ -161,9 +161,10 @@ def _equal_length_blocks(models: list[CostModel], pairs):
 
     Yields ``(block, slots)``.  ``block`` is a ``CostModel`` of n = L whose
     rows are the prefix windows ``cum_y[:, l - 1 : u + 1]`` of G intervals
-    of length L = u - l + 1, stacked member by member, so that
-    ``block.gain_matrix(1, L)`` reshaped to (G, d, L - 1) holds each
-    member's ``gain_matrix(l, u)``, computed by the same operations.
+    of length L = u - l + 1, stacked member by member along with their
+    scales, so that ``block.gain_matrix(1, L)`` reshaped to (G, d, L - 1)
+    holds each member's ``gain_matrix(l, u)``, computed by the same
+    operations.
     ``slots`` are the members' positions in ``pairs`` flattened in order.
     A block holds at most ``_BLOCK_CELLS`` prefix cells, or one window; a
     single window is a view of its replicate's table.
@@ -181,8 +182,8 @@ def _equal_length_blocks(models: list[CostModel], pairs):
             members = list(zip(reps[slots].tolist(), starts[slots].tolist()))
             windows = [models[rep].cum_y[:, l - 1 : l + length] for rep, l in members]
             cum_y = windows[0] if len(windows) == 1 else np.concatenate(windows)
-            r = np.concatenate([models[rep].r for rep, _ in members]) if kind == NEGBIN else None
-            yield CostModel(kind, n=length, d=len(cum_y), sigma=None, r=r, cum_y=cum_y), slots
+            scale = np.concatenate([models[rep].scale for rep, _ in members])
+            yield CostModel(kind, scale, cum_y), slots
 
 
 def _split_by_replicate(values: np.ndarray, pairs) -> list[np.ndarray]:

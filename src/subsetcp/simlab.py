@@ -266,6 +266,8 @@ def evaluate(
     row averages its own run's contributing changes; the summary pools those
     of all runs, so runs without a sparse match do not dilute it.
     """
+    if not runs:
+        raise InputDataError("need at least one run")
     tol = matching_window(n)
     rows: list[ReplicateRow] = []
     tpr_pool: list[float] = []

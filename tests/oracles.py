@@ -17,16 +17,20 @@ from scipy.special import erfc, gammaln, xlogy
 
 from subsetcp import (
     GAUSSIAN,
+    KIND_DENSE,
+    KIND_SPARSE,
     ChangeSpec,
+    Detection,
     InputDataError,
     ScenarioSpec,
-    branch_sums,
     draw_intervals as package_draw_intervals,
     negbin_model,
 )
+from subsetcp.costs import R_MAX
 from subsetcp.diagnostics import variate_segments
 from subsetcp.penalties import _minimal_quiet_beta
 from subsetcp.simlab import _density_set
+from subsetcp.single_change import branch_sums
 
 
 def _segment(y, s: int, t: int) -> np.ndarray:
@@ -106,6 +110,61 @@ def one_pass_cusum(model, l: int, u: int, dtype=np.float64) -> np.ndarray:
     w -= sum_left
     w *= np.sqrt(length / (len_left * (length - len_left)))
     return w
+
+
+def one_pass_negbin_gains(model, l: int, u: int, dtype=np.float64) -> np.ndarray:
+    """The negbin ``CostModel.gain_matrix`` computed for every row at once:
+    the same arithmetic on each row, with whole-panel temporaries."""
+    pieces = np.empty((2, model.d, u - l + 1), dtype)
+    np.subtract(model.cum_y[:, l : u + 1], model.cum_y[:, l - 1 : l], out=pieces[0])
+    np.subtract(model.cum_y[:, u : u + 1], model.cum_y[:, l : u + 1], out=pieces[1])
+    len_left = np.arange(1, u - l + 2, dtype=dtype)
+    lengths = np.concatenate((len_left, len_left[-2::-1], len_left[-1:]))
+    left, right = model.span_cost(pieces, lengths.reshape(2, 1, -1))
+    gains = left[:, -1:] - left[:, :-1]
+    gains -= right[:, :-1]
+    return np.maximum(gains, 0.0, out=gains)
+
+
+def moments_dispersion(y) -> float:
+    """Method-of-moments r = m^2 / (v - m) of one count series, in Python
+    floats: ``R_MAX`` when v <= m, and capped at ``R_MAX``."""
+    m = float(np.mean(y))
+    v = float(np.var(y, ddof=1))
+    if v <= m:
+        return R_MAX
+    return min(m * m / (v - m), R_MAX)
+
+
+def split_gains(y, l: int, u: int, params) -> np.ndarray:
+    """(d, u-l) ``d_statistic`` of every row of ``y`` at every split of
+    (l, u); ``params[i]`` is row i's own ``{"sigma": ...}`` or ``{"r": ...}``."""
+    return np.array([
+        [d_statistic(row, l, u, t, **param) for t in range(l, u)]
+        for row, param in zip(y, params)
+    ])
+
+
+def scan_interval(y, l: int, u: int, penalties, params):
+    """Best candidate on (l, u) from ``split_gains`` on the raw series, one
+    split and one variate at a time, or None when nothing clears 0.  Ties
+    over t keep the smallest t; a tie between branches is sparse."""
+    gains = split_gains(y, l, u, params)
+    best = None
+    for t in range(l, u):
+        column = [float(g) for g in gains[:, t - l]]
+        sparse = sum(max(g - penalties.alpha, 0.0) for g in column) - penalties.beta
+        dense = sum(column) - penalties.K
+        stat = max(sparse, dense)
+        if stat <= 0.0 or (best is not None and stat <= best.statistic):
+            continue
+        if sparse >= dense:
+            kind = KIND_SPARSE
+            affected = frozenset(i + 1 for i, g in enumerate(column) if g > penalties.alpha)
+        else:
+            kind, affected = KIND_DENSE, frozenset(range(1, len(column) + 1))
+        best = Detection(tau=t, kind=kind, affected=affected, statistic=stat, interval=(l, u))
+    return best
 
 
 def baseline_statistic(method: str, threshold: float, w_row, binweight_alpha=None) -> float:
@@ -278,7 +337,8 @@ def fixed_r_model(matrix, r):
     """The package's count model with dispersion ``r`` (a scalar or one value
     per variate) in place of the estimated one."""
     model = negbin_model(matrix)
-    return dataclasses.replace(model, r=np.broadcast_to(np.asarray(r, dtype=float), (model.d,)))
+    r = np.broadcast_to(np.asarray(r, dtype=float), (model.d,))
+    return dataclasses.replace(model, scale=r)
 
 
 def segment_parameters(matrix, result) -> list[list[tuple[int, int, float]]]:

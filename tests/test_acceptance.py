@@ -24,7 +24,6 @@ from subsetcp import (
     RandomSource,
     ScenarioSpec,
     TimeSeriesMatrix,
-    branch_sums,
     calibrate_baseline_threshold,
     calibrate_beta,
     draw_intervals,
@@ -40,6 +39,7 @@ from subsetcp import (
     subset_wbs,
     theoretical_penalties,
 )
+from subsetcp.single_change import branch_sums
 
 
 def _announce(num: int, name: str, ok: bool) -> None:

@@ -55,7 +55,7 @@ def test_cusum_matrix_row_matches_scalar_cusum():
     w = cusum_matrix(model, 3, 20)
     for t in range(3, 20):
         for i in (1, 2):
-            expect = abs(oracles.cusum(y[i - 1], 3, 20, t, model.sigma[i - 1]))
+            expect = abs(oracles.cusum(y[i - 1], 3, 20, t, model.scale[i - 1]))
             assert w[i - 1, t - 3] == pytest.approx(expect)
 
 

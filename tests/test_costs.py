@@ -3,6 +3,7 @@ the brute-force oracles in ``oracles.py``."""
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,17 +16,18 @@ from oracles import (
     d_statistic,
     fixed_r_model,
     gaussian_cost,
+    moments_dispersion,
     negbin_cost,
     negbin_loglik,
     negbin_mle_p,
     negbin_span_cost,
     one_pass_cusum,
+    one_pass_negbin_gains,
 )
 from subsetcp import (
     InputDataError,
     NumericalError,
     estimate_dispersion,
-    estimate_sigma,
     gaussian_model,
     make_matrix,
     negbin_model,
@@ -65,28 +67,33 @@ def test_length_one_segments_cost_zero():
         )
 
 
+def _sigma_hat(y) -> float:
+    """The scale ``gaussian_model`` estimates for one series."""
+    return float(gaussian_model(make_matrix([y])).scale[0])
+
+
 def test_sigma_estimate_recovers_unit_noise():
     rng = np.random.default_rng(201)
-    estimates = [estimate_sigma(rng.standard_normal(10000)) for _ in range(100)]
+    estimates = [_sigma_hat(rng.standard_normal(10000)) for _ in range(100)]
     assert abs(np.mean(estimates) - 1.0) < 0.05
 
 
 def test_sigma_estimate_scales_with_data():
     rng = np.random.default_rng(17)
     y = rng.standard_normal(500)
-    assert estimate_sigma(3.0 * y) == pytest.approx(3.0 * estimate_sigma(y), rel=1e-12)
+    assert _sigma_hat(3.0 * y) == pytest.approx(3.0 * _sigma_hat(y), rel=1e-12)
 
 
 def test_sigma_estimate_rejects_constant_series():
     with pytest.raises(NumericalError, match="zero"):
-        estimate_sigma(np.full(50, 2.0))
+        _sigma_hat(np.full(50, 2.0))
 
 
 def test_sigma_estimate_ignores_mean_shifts():
     rng = np.random.default_rng(23)
     y = rng.standard_normal(4000)
     shifted = y + np.repeat([0.0, 50.0], 2000)
-    assert abs(estimate_sigma(shifted) - 1.0) < 0.1
+    assert abs(_sigma_hat(shifted) - 1.0) < 0.1
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,21 +103,26 @@ def test_sigma_estimate_ignores_mean_shifts():
     seed=st.integers(0, 2**32 - 1),
     offset=st.sampled_from([0.0, 1e8]),
     rounded=st.booleans(),
+    rows_per_block=st.sampled_from([None, 1, 7]),
 )
-def test_block_sigma_estimates_equal_the_row_by_row_ones(rows, n, seed, offset, rounded):
+def test_block_sigma_estimates_equal_the_row_by_row_ones(
+    rows, n, seed, offset, rounded, rows_per_block
+):
     # Rounded rows have repeated differences, so ties fall on the median.
     values = offset + np.random.default_rng(seed).standard_normal((rows, n))
     if rounded:
         values = np.round(values * 4.0)
-    try:
-        expected = [estimate_sigma(row) for row in values]
-    except NumericalError:
-        with pytest.raises(NumericalError, match="scale estimate is zero"):
-            estimate_sigma(values)
-        return
-    block = estimate_sigma(values)
+    expected = [costs._mad_sigma(row[None, :])[0] for row in values]
+    cells = costs._ROW_BLOCK_CELLS if rows_per_block is None else rows_per_block * n
+    with mock.patch.object(costs, "_ROW_BLOCK_CELLS", cells):
+        block = costs._mad_sigma(values)
     assert block.shape == (rows,)
     assert block.tolist() == expected
+    if min(expected) <= 0.0:
+        with pytest.raises(NumericalError, match="scale estimate is zero"):
+            gaussian_model(make_matrix(values))
+        return
+    assert gaussian_model(make_matrix(values)).scale.tolist() == expected
 
 
 def test_dispersion_hand_value():
@@ -133,6 +145,27 @@ def test_dispersion_caps_barely_overdispersed_series():
     assert 0 < v - m < 0.002
     assert m * m / (v - m) == pytest.approx(295121.0, rel=1e-6)
     assert estimate_dispersion(y) == 10_000.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    n=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    zero_rows=st.sets(st.integers(0, 11), max_size=3),
+)
+def test_block_dispersion_estimates_equal_the_scalar_formula(rows, n, seed, zero_rows):
+    # NB draws from near-Poisson (under-dispersed estimates) to r = 0.5,
+    # with all-zero rows forced in.
+    rng = np.random.default_rng(seed)
+    r = rng.choice([0.5, 5.0, 1e3], size=(rows, 1))
+    y = rng.negative_binomial(r, r / (r + rng.uniform(0.1, 50.0, size=(rows, 1))), size=(rows, n))
+    y = y.astype(float)
+    y[[i for i in zero_rows if i < rows]] = 0.0
+    expected = [moments_dispersion(row) for row in y]
+    assert estimate_dispersion(y).tolist() == expected
+    assert [estimate_dispersion(row) for row in y] == expected
+    assert negbin_model(make_matrix(y)).scale.tolist() == expected
 
 
 def test_dispersion_recovers_generating_parameter():
@@ -244,7 +277,7 @@ def test_gaussian_prefix_table_is_the_scaled_series_summed_in_place():
     rng = np.random.default_rng(61)
     values = 1e8 + rng.standard_normal((7, 300)) * rng.uniform(0.1, 10.0, size=(7, 1))
     model = gaussian_model(make_matrix(values))
-    scaled = (values - values.mean(axis=1, keepdims=True)) / model.sigma[:, None]
+    scaled = (values - values.mean(axis=1, keepdims=True)) / model.scale[:, None]
     expected = np.zeros((7, 301))
     np.cumsum(scaled, axis=1, out=expected[:, 1:])
     assert model.cum_y.tobytes() == expected.tobytes()
@@ -278,6 +311,40 @@ def test_blocked_cusum_equals_the_one_pass_formula(monkeypatch, dtype, rows_per_
         assert w.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows_per_block", [None, 1, 9])
+def test_blocked_negbin_gains_equal_the_one_pass_formula(monkeypatch, dtype, rows_per_block):
+    # 700 variates: the default block takes 164 rows of the full interval,
+    # and 9 rows a block leaves a short last block too.
+    rng = np.random.default_rng(71)
+    r = rng.choice([0.5, 20.0, 1e3], size=(700, 1))
+    values = rng.negative_binomial(r, r / (r + rng.uniform(0.5, 50.0, size=(700, 1))), (700, 400))
+    values[:10, 250:] += 7
+    values[10:20] = 0
+    model = negbin_model(make_matrix(values.astype(float)))
+    for l, u in ((1, 400), (17, 260), (200, 202), (399, 400)):
+        if rows_per_block is not None:
+            monkeypatch.setattr(costs, "_ROW_BLOCK_CELLS", rows_per_block * (u - l))
+        gains = model.gain_matrix(l, u, dtype)
+        expected = one_pass_negbin_gains(model, l, u, dtype)
+        assert gains.dtype == expected.dtype == dtype
+        assert gains.tobytes() == expected.tobytes()
+
+
+def test_negbin_gain_kernel_holds_about_one_panel():
+    # The (d, n - 1) output is one panel; the temporaries are one block of
+    # rows, where whole-panel pieces and span costs would take several.
+    y = np.random.default_rng(73).negative_binomial(20, 0.5, size=(1000, 1000))
+    model = negbin_model(make_matrix(y.astype(float)))
+    tracemalloc.start()
+    try:
+        model.gain_matrix(1, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 1000 * 1000) < 2.0
+
+
 def test_model_builders_validate_inputs():
     counts = make_matrix([[0, 1, 2, 1]])
     with pytest.raises(InputDataError, match="Gaussian"):
@@ -293,15 +360,15 @@ def test_gaussian_model_estimates_scale_per_variate():
     y1 = rng.standard_normal(3000)
     y2 = 5.0 * rng.standard_normal(3000)
     model = gaussian_model(make_matrix([y1, y2]))
-    assert abs(model.sigma[0] - 1.0) < 0.1
-    assert abs(model.sigma[1] - 5.0) < 0.5
+    assert abs(model.scale[0] - 1.0) < 0.1
+    assert abs(model.scale[1] - 5.0) < 0.5
 
 
 def test_negbin_model_estimates_dispersion_once_per_variate():
     rng = np.random.default_rng(59)
     y = rng.negative_binomial(20, 0.5, size=(2, 20000)).astype(float)
     model = negbin_model(make_matrix(y))
-    assert np.all(model.r > 15) and np.all(model.r < 25)
+    assert np.all(model.scale > 15) and np.all(model.scale < 25)
 
 
 def test_boundary_costs_match_segment_costs():

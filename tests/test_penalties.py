@@ -28,7 +28,6 @@ from subsetcp import (
     NullModel,
     PenaltyConfig,
     RandomSource,
-    branch_sums,
     calibrate_baseline_threshold,
     calibrate_beta,
     dense_cap,
@@ -47,6 +46,7 @@ from subsetcp.penalties import (
     _null_maxima,
     _screen_error,
 )
+from subsetcp.single_change import branch_sums
 
 
 def test_default_penalty_hand_values():
@@ -345,9 +345,9 @@ def test_null_model_scale_estimation_path():
     estimated = NullModel(kind=GAUSSIAN, estimate_scale=True)
     m_known = known.sample_model(400, 2, src.child(0))
     m_est = estimated.sample_model(400, 2, src.child(0))
-    assert np.all(m_known.sigma == 1.0)
-    assert not np.any(m_est.sigma == 1.0)
-    assert np.all(np.abs(m_est.sigma - 1.0) < 0.25)
+    assert np.all(m_known.scale == 1.0)
+    assert not np.any(m_est.scale == 1.0)
+    assert np.all(np.abs(m_est.scale - 1.0) < 0.25)
 
 
 @st.composite

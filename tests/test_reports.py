@@ -454,5 +454,5 @@ def test_count_residual_scale_matches_the_formula():
     resid = pearson_residuals(counts, model.kind, model.scale, result)
     row = counts.values[0]
     mu = row.mean()
-    scale = np.sqrt(mu * (1.0 + mu / model.r[0]))
+    scale = np.sqrt(mu * (1.0 + mu / model.scale[0]))
     assert np.allclose(resid[0], (row - mu) / scale)

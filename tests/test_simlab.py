@@ -201,7 +201,7 @@ def test_fit_and_null_models_follow_the_scenario_kind():
     matrix, _ = generate(gauss, RandomSource(606))
     model = fit_model(matrix, gauss)
     assert model.kind == GAUSSIAN
-    assert np.all(model.sigma == 1.0)
+    assert np.all(model.scale == 1.0)
     assert null_model(gauss).kind == GAUSSIAN
 
     counts = scenario("Aprime", model="negbin", n=100, d=12, r=30.0, base_p=0.6)
@@ -231,6 +231,11 @@ def test_evaluate_counts_misses_and_false_alarms():
 
     blank = evaluate([(_result(1000, []), truth)], 1000, 3)
     assert blank.avg_missed == 1.0
+
+
+def test_evaluate_rejects_an_empty_run_list():
+    with pytest.raises(InputDataError, match="need at least one run"):
+        evaluate([], 1000, 3)
 
 
 def test_evaluate_scores_sparse_affected_sets():

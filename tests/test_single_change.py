@@ -5,17 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import cusum, d_statistic
 from subsetcp import (
+    GAUSSIAN,
     KIND_DENSE,
     KIND_SPARSE,
+    NEGBIN,
     PenaltyConfig,
-    branch_sums,
     gaussian_model,
     make_matrix,
+    negbin_model,
     scan_interval,
 )
+from subsetcp.single_change import branch_sums
 
 
 def test_split_gain_on_constant_series_is_zero():
@@ -202,3 +208,89 @@ def test_scan_outcome_invariant_to_common_rescaling():
     assert base is not None and scaled is not None
     assert (base.tau, base.kind, base.affected) == (scaled.tau, scaled.kind, scaled.affected)
     assert base.statistic == pytest.approx(scaled.statistic, rel=1e-9)
+
+
+@st.composite
+def _scan_cases(draw):
+    """A short panel of either model with a change on some variates, an
+    interval (l, u) with at least two splits, and three fractions that place
+    alpha below the largest gain and beta and K among the branch sums."""
+    kind = draw(st.sampled_from([GAUSSIAN, NEGBIN]))
+    n = draw(st.integers(3, 30))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tau = draw(st.integers(1, n - 1))
+    shifted = rng.random(d) < 0.5
+    if kind == GAUSSIAN:
+        y = rng.standard_normal((d, n)) + rng.uniform(-5.0, 5.0, size=(d, 1))
+        y[shifted, tau:] += draw(st.sampled_from([0.0, 1.0, 3.0]))
+        y *= rng.uniform(0.5, 3.0, size=(d, 1))
+    else:
+        r = rng.choice([0.5, 5.0, 50.0], size=(d, 1))
+        mean = np.repeat(rng.uniform(3.0, 30.0, size=(d, 1)), n, axis=1)
+        mean[shifted, tau:] *= draw(st.sampled_from([1.0, 2.0, 4.0]))
+        y = rng.negative_binomial(r, r / (r + mean)).astype(float)
+    l = draw(st.integers(1, n - 2))
+    u = draw(st.integers(l + 2, n))
+    fractions = draw(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 1.5), st.floats(0.05, 1.5)))
+    return kind, y, l, u, fractions
+
+
+def test_scan_matches_the_scalar_oracle():
+    # oracles.scan_interval scores every split with d_statistic on the raw
+    # series, each variate with the sigma given or its own moments r, so a
+    # parameter fed to the wrong variate changes the gains.  Draws whose
+    # outcome turns on a near-tie (two splits, the two branches, a gain and
+    # alpha, or the statistic and 0, within 1e-9 of the gains' scale) are
+    # discarded, and they must stay rare.
+    draws = {"all": 0, "near_tie": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_scan_cases())
+    def check(case):
+        kind, y, l, u, (fa, fb, fk) = case
+        draws["all"] += 1
+        if kind == GAUSSIAN:
+            sigma = np.std(y, axis=1) + 0.5
+            model = gaussian_model(make_matrix(y), sigma=sigma)
+            params = [{"sigma": float(s)} for s in sigma]
+        else:
+            model = negbin_model(make_matrix(y))
+            params = [{"r": oracles.moments_dispersion(row)} for row in y]
+        gains = oracles.split_gains(y, l, u, params)
+        top = float(gains.max())
+        alpha = fa * top if top > 0.0 else fa
+        sparse = np.maximum(gains - alpha, 0.0).sum(axis=0)
+        dense = gains.sum(axis=0)
+        beta = fb * float(sparse.max())
+        pen = PenaltyConfig(alpha, beta, max(beta, fk * float(dense.max())))
+        s1, s2 = sparse - pen.beta, dense - pen.K
+        s = np.maximum(s1, s2)
+        best = int(np.argmax(s))
+        tol = 1e-9 * (1.0 + float(dense.max()) + pen.beta + pen.K)
+        others = np.delete(s, best)
+        # Only a detection reads the split, the branch and the affected set.
+        near_tie = abs(s[best]) <= tol or (
+            s[best] > 0.0
+            and (
+                abs(s1[best] - s2[best]) <= tol
+                or np.any(np.abs(gains[:, best] - alpha) <= tol)
+                or np.any(others >= s[best] - tol)
+            )
+        )
+        if near_tie:
+            draws["near_tie"] += 1
+        assume(not near_tie)
+        got = scan_interval(model, pen, l, u)
+        want = oracles.scan_interval(y, l, u, pen, params)
+        if want is None:
+            assert got is None
+            return
+        assert got is not None
+        assert (got.tau, got.kind, got.affected, got.interval) == (
+            want.tau, want.kind, want.affected, want.interval
+        )
+        assert abs(got.statistic - want.statistic) <= tol
+
+    check()
+    assert draws["near_tie"] < 0.1 * draws["all"]
