@@ -50,25 +50,27 @@ def pearson_residual_correlations(
 ) -> float:
     """Mean off-diagonal entry of the residual correlation matrix.
 
-    The steps are ``np.corrcoef``'s, run on the residual buffer itself:
-    centre each row, X X^T / (n - 1), divide by the root diagonal on both
-    sides, clip to [-1, 1].  The result is bit-identical to
-    ``np.corrcoef(residuals)``.
+    With z_i the i-th residual row, centred and scaled to unit norm, the
+    correlation of variates i and j is z_i . z_j, so the off-diagonal
+    entries add up to ||sum_i z_i||^2 - sum_i ||z_i||^2.  That is O(dn)
+    work on the residual buffer, with no d x d matrix.  The result agrees
+    with the off-diagonal mean of ``np.corrcoef(residuals)`` to about
+    1e-15 (tested to 1e-12 absolute), not bit for bit: the sums run in
+    another order, and only the mean is clipped to [-1, 1], not each entry.
+    A residual row whose centred sum of squares is 0 has zero variance and
+    raises :class:`NumericalError` naming its variate.
     """
     x = pearson_residuals(matrix, kind, scale, result)
-    flat = np.std(x, axis=1) == 0.0
+    x -= x.mean(axis=1)[:, None]
+    sq_norms = np.einsum("ij,ij->i", x, x)
+    flat = sq_norms == 0.0
     if np.any(flat):
         names = [matrix.variate_names[i] for i in np.flatnonzero(flat)]
         raise NumericalError(f"zero-variance residual series for variates {names}")
     d = matrix.d
     if d == 1:
         return 0.0
-    x -= x.mean(axis=1)[:, None]
-    corr = np.dot(x, x.T)
-    del x
-    corr *= np.true_divide(1, matrix.n - 1)
-    stddev = np.sqrt(np.diag(corr))
-    corr /= stddev[:, None]
-    corr /= stddev[None, :]
-    np.clip(corr, -1, 1, out=corr)
-    return float(np.mean(corr[~np.eye(d, dtype=bool)]))
+    x /= np.sqrt(sq_norms)[:, None]
+    total = x.sum(axis=0)
+    off_diagonal = np.dot(total, total) - np.vdot(x, x)
+    return float(np.clip(off_diagonal / (d * (d - 1)), -1.0, 1.0))

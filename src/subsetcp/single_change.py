@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import costs
 from .core import KIND_DENSE, KIND_SPARSE, Detection
 from .costs import CostModel
 
@@ -45,13 +46,36 @@ def scan_interval(
 
     Ties over ``t`` keep the smallest ``t``; an exact tie between branches
     is labelled sparse.  The sparse affected set is {i : D[i, t*] > alpha},
-    read from the excesses ``branch_sums`` leaves (a rounded D - alpha is
-    positive exactly when D > alpha); the dense one is every variate.
+    read from a (d, u-l) mask; the dense one is every variate.
+
+    The gains are priced a block of at most ``costs._ROW_BLOCK_CELLS``
+    cells of rows at a time, each block a model of its own, so no (d, u-l)
+    float block is held.  A block is reduced with the running sparse and
+    dense sums as its row 0.  numpy sums axis 0 of a C-ordered block one row
+    after another, so each column is still summed over the variates in row
+    order, and the sums are bit-identical to ``branch_sums`` of the whole
+    (d, u-l) block.
     """
     if u - l <= 1:
         raise ValueError(f"interval ({l}, {u}) has no interior split")
-    gains = model.gain_matrix(l, u)
-    sparse, dense = branch_sums(gains, penalties.alpha)
+    alpha = penalties.alpha
+    above = np.empty((model.d, u - l), dtype=bool)
+    sparse = np.zeros(u - l)
+    dense = np.zeros(u - l)
+    step = max(1, costs._ROW_BLOCK_CELLS // (u - l))
+    for start in range(0, model.d, step):
+        part = slice(start, start + step)
+        gains = CostModel(model.kind, model.scale[part], model.cum_y[part]).gain_matrix(l, u)
+        np.greater(gains, alpha, out=above[part])
+        # Row 0 of each reduction carries the sums over the rows before it.
+        head = np.maximum(gains[0] - alpha, 0.0)
+        head += sparse
+        gains[0] += dense
+        dense = gains.sum(axis=0)
+        gains -= alpha
+        np.maximum(gains, 0.0, out=gains)
+        gains[0] = head
+        sparse = gains.sum(axis=0)
     s1 = sparse - penalties.beta
     s2 = dense - penalties.K
     s = np.maximum(s1, s2)
@@ -61,9 +85,7 @@ def scan_interval(
     tau = l + best
     if s1[best] >= s2[best]:
         kind = KIND_SPARSE
-        affected = frozenset(
-            int(i) + 1 for i in np.flatnonzero(gains[:, best] > 0.0)
-        )
+        affected = frozenset(int(i) + 1 for i in np.flatnonzero(above[:, best]))
     else:
         kind = KIND_DENSE
         affected = frozenset(range(1, model.d + 1))

@@ -167,6 +167,28 @@ def scan_interval(y, l: int, u: int, penalties, params):
     return best
 
 
+def one_block_scan(model, penalties, l: int, u: int):
+    """``single_change.scan_interval`` on one whole (d, u-l) gain block:
+    ``gain_matrix``, then ``branch_sums``, then the affected set read from
+    the excesses at the best split."""
+    gains = model.gain_matrix(l, u)
+    sparse, dense = branch_sums(gains, penalties.alpha)
+    s1 = sparse - penalties.beta
+    s2 = dense - penalties.K
+    s = np.maximum(s1, s2)
+    best = int(np.argmax(s))
+    if s[best] <= 0.0:
+        return None
+    if s1[best] >= s2[best]:
+        kind = KIND_SPARSE
+        affected = frozenset(int(i) + 1 for i in np.flatnonzero(gains[:, best] > 0.0))
+    else:
+        kind, affected = KIND_DENSE, frozenset(range(1, model.d + 1))
+    return Detection(
+        tau=l + best, kind=kind, affected=affected, statistic=float(s[best]), interval=(l, u)
+    )
+
+
 def baseline_statistic(method: str, threshold: float, w_row, binweight_alpha=None) -> float:
     """Aggregated CUSUM row (mean, max or thresholded sum) minus the threshold."""
     w = [float(x) for x in w_row]
@@ -339,6 +361,13 @@ def fixed_r_model(matrix, r):
     model = negbin_model(matrix)
     r = np.broadcast_to(np.asarray(r, dtype=float), (model.d,))
     return dataclasses.replace(model, scale=r)
+
+
+def corrcoef_mean(residuals) -> float:
+    """Mean off-diagonal entry of ``np.corrcoef(residuals)``, through the
+    full d x d matrix."""
+    d = len(residuals)
+    return float(np.mean(np.corrcoef(residuals)[~np.eye(d, dtype=bool)]))
 
 
 def segment_parameters(matrix, result) -> list[list[tuple[int, int, float]]]:

@@ -133,14 +133,14 @@ def test_detect_output_is_pinned(tmp_path, capsys, model):
         ]
         want = _pinned_report(
             100, 4, "gaussian", 2.772588722239781, 18.146885545115083, 34.19574791302853,
-            3, 40, 50, ["a", "b"], 71.63755579566947, 0.004054667271816363,
+            3, 40, 50, ["a", "b"], 71.63755579566947, 0.004054667271816322,
         )
         pairs = "tau,variate\n50,a\n50,b\n"
     else:
         args = _detect_args(_count_csv(tmp_path), out)
         want = _pinned_report(
             80, 2, "negbin", 1.3862943611198906, 13.2122005698833, 22.48191874045451,
-            11, 60, 40, ["a"], 35.18983075729375, -0.11283750757753969,
+            11, 60, 40, ["a"], 35.18983075729375, -0.11283750757753963,
         )
         pairs = "tau,variate\n40,a\n"
     assert main(args) == 0
@@ -255,12 +255,15 @@ def test_failed_detect_write_leaves_neither_output(tmp_path, capsys, blocked):
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["counts.csv"]
 
 
-def _panel_csv(tmp_path, n, d, tau):
-    """Seeded standard Gaussian panel; the first min(d, 5) variates shift
-    by 8 after ``tau`` (no shift when tau is None)."""
-    y = np.random.default_rng(240).standard_normal((d, n))
+def _panel_csv(tmp_path, n, d, tau, offset=0.0, twin=False):
+    """Seeded standard Gaussian panel plus ``offset``; the first min(d, 5)
+    variates shift by 8 after ``tau`` (no shift when tau is None).  With
+    ``twin`` the last variate is a copy of the first."""
+    y = offset + np.random.default_rng(240).standard_normal((d, n))
     if tau is not None:
         y[:5, tau:] += 8.0
+    if twin:
+        y[-1] = y[0]
     lines = ["time," + ",".join(f"x{i}" for i in range(1, d + 1))] + [
         f"{t + 1}," + ",".join(f"{v:.6f}" for v in y[:, t]) for t in range(n)
     ]
@@ -269,23 +272,38 @@ def _panel_csv(tmp_path, n, d, tau):
     return path
 
 
+_SHIFTED = ["x1", "x2", "x3", "x4", "x5"]
+
+
 @pytest.mark.parametrize(
-    ("n", "d", "tau", "penalties", "status", "taus"),
+    ("n", "d", "tau", "panel", "penalties", "status", "taus", "pinned"),
     [
-        (200, 10, 1, [], 0, [1]),
-        (200, 10, 199, [], 0, [199]),
-        (3, 10, None, [], 0, []),
-        (200, 1, 100, [], 1, None),
+        (200, 10, 1, {}, [], 0, [1], [(1, "sparse", _SHIFTED)]),
+        (200, 10, 199, {}, [], 0, [199], None),
+        (3, 10, None, {}, [], 0, [], None),
+        (200, 1, 100, {}, [], 1, None, None),
         # taus None: the planted change is among the detections.
-        (200, 1, 100, ["--alpha", "0", "--beta", "10", "--K", "10"], 0, None),
+        (200, 1, 100, {}, ["--alpha", "0", "--beta", "10", "--K", "10"], 0, None, None),
+        # x10 is x1's twin, so their residuals correlate at 1.  The dense
+        # branch wins, and postprocess trims its affected set to the six
+        # shifted variates.
+        (200, 10, 100, {"twin": True}, [], 0, [100], [(100, "dense", [*_SHIFTED, "x10"])]),
+        (200, 10, 100, {"offset": 1e8}, [], 0, [100], [(100, "sparse", _SHIFTED)]),
     ],
-    ids=["change-at-1", "change-at-n-1", "n-3", "d-1-calibrated", "d-1-manual"],
+    ids=[
+        "change-at-1", "change-at-n-1", "n-3", "d-1-calibrated", "d-1-manual",
+        "duplicated-variate", "offset-1e8",
+    ],
 )
-def test_awkward_inputs_through_detect(tmp_path, capsys, n, d, tau, penalties, status, taus):
+def test_awkward_inputs_through_detect(
+    tmp_path, capsys, n, d, tau, panel, penalties, status, taus, pinned
+):
+    # ``pinned`` lists each detection's (tau, kind, affected) exactly; without
+    # it the affected sets need only lie among the shifted variates.
     out = tmp_path / "r.json"
     args = [
-        "detect", "--input", str(_panel_csv(tmp_path, n, d, tau)), "--calib-reps", "20",
-        "--intervals", "50", *penalties, "--output", str(out),
+        "detect", "--input", str(_panel_csv(tmp_path, n, d, tau, **panel)),
+        "--calib-reps", "20", "--intervals", "50", *penalties, "--output", str(out),
     ]
     assert main(args) == status
     if status:
@@ -293,9 +311,14 @@ def test_awkward_inputs_through_detect(tmp_path, capsys, n, d, tau, penalties, s
         assert not out.exists()
         return
     capsys.readouterr()
-    detections = json.loads(out.read_text())["detections"]
+    report = json.loads(out.read_text())
+    detections = report["detections"]
     found = [det["tau"] for det in detections]
     assert found == taus if taus is not None else tau in found
+    assert -1.0 <= report["diagnostics"]["mean_residual_correlation"] <= 1.0
+    if pinned is not None:
+        assert [(det["tau"], det["kind"], det["affected"]) for det in detections] == pinned
+        return
     shifted = {f"x{i}" for i in range(1, min(d, 5) + 1)}
     for det in detections:
         assert set(det["affected"]) <= shifted
@@ -319,24 +342,19 @@ def test_constant_gaussian_series_fails_numerically(tmp_path, capsys):
     assert "zero-variance residual" in capsys.readouterr().err
 
 
-def test_wide_detect_holds_few_copies_of_the_panel(tmp_path, capsys):
-    # The input matrix and the prefix table are one panel (8 d n bytes) each;
-    # every stage adds at most one more working panel, so a job peaks at
-    # about 3.3 panels.  A second working panel in the scans or the
-    # diagnostics (a whole-panel CUSUM temporary: 4.2; the excess matrix of
-    # the branch sums: 5.2; a private copy of the residuals: 4.3) pushes it
-    # past 4.
-    n = d = 1000
-    matrix, _ = generate(scenario("E", model="gaussian", n=n, d=d), RandomSource(0).child(0))
+def _detect_peak_in_panels(tmp_path, capsys, values, fmt, options):
+    """tracemalloc peak of ``main(["detect", ...])`` on ``values`` written as
+    a CSV, with the theoretical penalties passed as manual ones, in panels
+    of 8 d n bytes."""
+    d, n = values.shape
     path = tmp_path / "wide.csv"
     with open(path, "w") as handle:
-        handle.write("time," + ",".join(matrix.variate_names) + "\n")
-        rows = np.column_stack([np.arange(1, n + 1), matrix.values.T])
-        np.savetxt(handle, rows, delimiter=",", fmt="%.17g")
+        handle.write("time," + ",".join(f"x{i}" for i in range(1, d + 1)) + "\n")
+        rows = np.column_stack([np.arange(1, n + 1), values.T])
+        np.savetxt(handle, rows, delimiter=",", fmt=fmt)
     pen = theoretical_penalties(n, d, J=4)
     args = [
-        "detect", "--input", str(path), "--output", str(tmp_path / "r.json"),
-        "--intervals", "50",
+        "detect", "--input", str(path), "--output", str(tmp_path / "r.json"), *options,
         "--alpha", repr(pen.alpha), "--beta", repr(pen.beta), "--K", repr(pen.K),
     ]
     tracemalloc.start()
@@ -346,7 +364,36 @@ def test_wide_detect_holds_few_copies_of_the_panel(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert rc == 0, capsys.readouterr().err
-    assert peak / (8 * n * d) < 4.0
+    return peak / (8 * n * d)
+
+
+def test_wide_detect_holds_few_copies_of_the_panel(tmp_path, capsys):
+    # The input matrix and the prefix table are one panel (8 d n bytes) each.
+    # The scans hold one block of rows of gains and a (d, u - l) boolean
+    # mask, and the diagnostic one residual panel beside the input, so the
+    # job peaks at about 2.5 panels, during wild binary segmentation.  A
+    # whole (d, u - l) gain block in the scans or a d x d correlation matrix
+    # in the diagnostic (one more panel at d = n) pushes it past 3: to 3.2
+    # with either, 3.3 with both.
+    n = d = 1000
+    matrix, _ = generate(scenario("E", model="gaussian", n=n, d=d), RandomSource(0).child(0))
+    options = ["--intervals", "50"]
+    assert _detect_peak_in_panels(tmp_path, capsys, matrix.values, "%.17g", options) < 3.0
+
+
+def test_wide_negbin_detect_holds_few_copies_of_the_panel(tmp_path, capsys):
+    # NB(20, 0.5) counts with p down to 0.4 on 50 variates after t = 600.
+    # The scans hold the input, the prefix table, one block of rows of the
+    # negbin kernel's temporaries, and the memo of scanned intervals, whose
+    # dense candidates each keep a d-element affected set: about 3.5 panels
+    # in all.
+    # A whole (d, u - l) gain block in the scans pushes it to 4.2.
+    n = d = 1000
+    p = np.full((d, n), 0.5)
+    p[:50, 600:] = 0.4
+    counts = np.random.default_rng(0).negative_binomial(20, p)
+    options = ["--model", "negbin", "--intervals", "200"]
+    assert _detect_peak_in_panels(tmp_path, capsys, counts, "%d", options) < 3.8
 
 
 def test_all_zero_count_variate_fails_in_the_residual_diagnostic(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import os
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import segment_parameters
 from subsetcp import (
     GAUSSIAN,
@@ -365,8 +367,13 @@ def test_gaussian_residuals_are_centred_per_segment():
     seed=st.integers(0, 2**32 - 1),
     offset=st.sampled_from([0.0, 1e4, 1e8]),
     kind=st.sampled_from([GAUSSIAN, NEGBIN]),
+    twins=st.integers(0, 3),
 )
-def test_residual_correlation_is_the_corrcoef_mean_bit_for_bit(d, seed, offset, kind):
+def test_residual_correlation_matches_the_corrcoef_mean(d, seed, offset, kind, twins):
+    # The O(dn) identity against the mean of the full np.corrcoef matrix.
+    # Up to ``twins`` variates copy another variate's series, scale and
+    # changepoints, so their residuals are equal and correlate at 1, which
+    # np.corrcoef clips.
     n = 80
     g = np.random.default_rng(seed)
     if kind == GAUSSIAN:
@@ -376,23 +383,52 @@ def test_residual_correlation_is_the_corrcoef_mean_bit_for_bit(d, seed, offset, 
         values = offset + g.negative_binomial(5, 0.3, size=(d, n))
         scale = g.uniform(0.5, 50.0, size=d)
     taus = sorted(g.choice(np.arange(10, n - 10), size=2, replace=False).tolist())
+    member = g.random((len(taus), d)) < 0.5
+    for _ in range(twins):
+        src, dst = g.integers(0, d, size=2)
+        values[dst], scale[dst], member[:, dst] = values[src], scale[src], member[:, src]
     detections = tuple(
         Detection(
             tau=tau,
             kind="sparse",
-            affected=frozenset(int(i) + 1 for i in np.flatnonzero(g.random(d) < 0.5))
-            or frozenset({1}),
+            affected=frozenset(int(i) + 1 for i in np.flatnonzero(row))
+            or frozenset(range(1, d + 1)),
             statistic=1.0,
             interval=(1, n),
         )
-        for tau in taus
+        for tau, row in zip(taus, member)
     )
     matrix = make_matrix(values)
     result = SegmentationResult(detections=detections, penalties=_pen(), n=n)
-    resid = pearson_residuals(matrix, kind, scale, result)
-    expected = np.mean(np.corrcoef(resid)[~np.eye(d, dtype=bool)])
+    expected = oracles.corrcoef_mean(pearson_residuals(matrix, kind, scale, result))
     got = pearson_residual_correlations(matrix, kind, scale, result)
-    assert np.float64(got).tobytes() == expected.tobytes()
+    assert abs(got - expected) <= 1e-12
+
+
+def test_residual_correlation_holds_about_one_panel_beyond_its_input():
+    # The residuals are the one panel-size array.  A d x d correlation
+    # matrix (one more panel at d = n, 2.1 panels in all) or a temporary
+    # copy of the residuals would take about one panel more.
+    n = d = 1000
+    g = np.random.default_rng(213)
+    matrix = make_matrix(g.standard_normal((d, n)))
+    result = SegmentationResult(
+        detections=(
+            Detection(
+                tau=400, kind="sparse", affected=frozenset(range(1, 51)), statistic=1.0,
+                interval=(1, n),
+            ),
+        ),
+        penalties=_pen(),
+        n=n,
+    )
+    tracemalloc.start()
+    try:
+        pearson_residual_correlations(matrix, GAUSSIAN, np.ones(d), result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * d) < 1.2
 
 
 def test_independent_variates_have_small_residual_correlation():
@@ -400,8 +436,8 @@ def test_independent_variates_have_small_residual_correlation():
     matrix = make_matrix(rng.standard_normal((4, 500)))
     model = gaussian_model(matrix, sigma=1.0)
     mean_off = pearson_residual_correlations(matrix, model.kind, model.scale, _null_result(500))
-    corr = np.corrcoef(pearson_residuals(matrix, model.kind, model.scale, _null_result(500)))
-    assert mean_off == np.mean(corr[~np.eye(4, dtype=bool)])
+    resid = pearson_residuals(matrix, model.kind, model.scale, _null_result(500))
+    assert abs(mean_off - oracles.corrcoef_mean(resid)) <= 1e-12
     assert abs(mean_off) < 0.06
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import subsetcp.costs as costs
 from oracles import cusum, d_statistic
 from subsetcp import (
     GAUSSIAN,
     KIND_DENSE,
     KIND_SPARSE,
     NEGBIN,
+    CostModel,
     PenaltyConfig,
     gaussian_model,
     make_matrix,
@@ -294,3 +297,67 @@ def test_scan_matches_the_scalar_oracle():
 
     check()
     assert draws["near_tie"] < 0.1 * draws["all"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from([GAUSSIAN, NEGBIN]),
+    n=st.integers(3, 40),
+    d=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    fractions=st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+    split=st.integers(1, 39),
+)
+def test_blocked_scan_equals_the_one_block_scan(kind, n, d, seed, fractions, split):
+    # scan_interval prices (l, u) a block of rows at a time; with one row per
+    # block, with a block size that does not divide d, and at the default it
+    # must give the one-block scan's tau, kind, affected set and statistic
+    # bytes, and price every (variate, split) cell exactly once.
+    rng = np.random.default_rng(seed)
+    tau = 1 + split % (n - 1)
+    shifted = rng.random(d) < 0.3
+    if kind == GAUSSIAN:
+        y = rng.standard_normal((d, n)) + rng.uniform(-5.0, 5.0, size=(d, 1))
+        y[shifted, tau:] += 2.0
+        model = gaussian_model(make_matrix(y), sigma=rng.uniform(0.5, 2.0, size=d))
+    else:
+        mean = np.repeat(rng.uniform(3.0, 30.0, size=(d, 1)), n, axis=1)
+        mean[shifted, tau:] *= 3.0
+        y = rng.negative_binomial(5.0, 5.0 / (5.0 + mean)).astype(float)
+        model = negbin_model(make_matrix(y))
+    l = int(rng.integers(1, n - 1))
+    u = int(rng.integers(l + 2, n + 1))
+    gains = model.gain_matrix(l, u)
+    fa, fb, fk = fractions
+    alpha = fa * float(gains.max())
+    sparse, dense = branch_sums(gains, alpha)
+    beta = fb * float(sparse.max())
+    pen = PenaltyConfig(alpha, beta, max(beta, fk * float(dense.max())))
+    want = oracles.one_block_scan(model, pen, l, u)
+
+    cells = []
+    gain_matrix = CostModel.gain_matrix
+
+    def counted(block, *args):
+        cells.append(block.d * (u - l))
+        return gain_matrix(block, *args)
+
+    non_divisors = [k for k in range(2, d) if d % k]
+    for rows in [1, *non_divisors[:1], None]:
+        patched = costs._ROW_BLOCK_CELLS if rows is None else rows * (u - l)
+        cells.clear()
+        with mock.patch.object(costs, "_ROW_BLOCK_CELLS", patched), mock.patch.object(
+            CostModel, "gain_matrix", counted
+        ):
+            got = scan_interval(model, pen, l, u)
+        assert sum(cells) == d * (u - l)
+        if rows is not None:
+            assert len(cells) == -(-d // rows)
+        if want is None:
+            assert got is None
+            continue
+        assert got is not None
+        assert (got.tau, got.kind, got.affected, got.interval) == (
+            want.tau, want.kind, want.affected, want.interval
+        )
+        assert np.float64(got.statistic).tobytes() == np.float64(want.statistic).tobytes()
