@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KIND_DENSE, Detection, InputDataError, SegmentationResult
+from .core import KIND_DENSE, Detection, InputDataError, SegmentationResult, all_variates
 from .costs import CostModel
 from .wbs import IntervalSet, segmentation_driver
 
@@ -70,7 +70,7 @@ def scan_interval_baseline(
     return Detection(
         tau=l + best,
         kind=KIND_DENSE,
-        affected=frozenset(range(1, model.d + 1)),
+        affected=all_variates(model.d),
         statistic=float(s[best]),
         interval=(l, u),
     )

@@ -12,6 +12,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -136,6 +137,16 @@ class Detection:
             raise ValueError(f"tau {self.tau} not inside interval {self.interval}")
         object.__setattr__(self, "affected", frozenset(self.affected))
         object.__setattr__(self, "interval", (int(l), int(u)))
+
+
+@functools.lru_cache(maxsize=1)
+def all_variates(d: int) -> frozenset[int]:
+    """The affected set of a dense candidate, {1, ..., d}.
+
+    A run keeps the candidate of every interval it scans, so its dense
+    candidates share this one set rather than each holding d elements.
+    """
+    return frozenset(range(1, d + 1))
 
 
 @dataclass(frozen=True)

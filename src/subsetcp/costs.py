@@ -34,8 +34,8 @@ R_MAX = 1e4
 # Unit roundoff of float32 plus that of float64: an error bound linear in u
 # then covers a float32 result's distance from the float64 one.
 SCREEN_ROUNDOFF = 2.0**-24 + 2.0**-53
-# Cells per block of rows in ``_mad_sigma``, ``CostModel.cusum`` and the
-# negbin ``CostModel.gain_matrix``.
+# Cells per block of rows in ``_mad_sigma``, ``CostModel.cusum``, the
+# negbin ``CostModel.gain_matrix`` and ``single_change.interval_sums``.
 _ROW_BLOCK_CELLS = 2**16
 
 

@@ -25,7 +25,7 @@ from .costs import (
     gaussian_model,
     negbin_model,
 )
-from .single_change import branch_sums
+from .single_change import branch_sums, interval_sums
 
 # Prefix cells, d (n + 1) per replicate, of the null replicates sampled and
 # priced as one batch: 5 replicates at n = 1000, d = 12, and 1 when d (n + 1)
@@ -221,7 +221,8 @@ def _branch_maxima(models: list[CostModel], pairs, alpha: float) -> np.ndarray:
     (``_screen_error``) of the float64 ones.  The interval holding a
     branch's float64 maximum then has m[k] + e[k] >= max_j (m[j] - e[j]);
     only intervals passing that test for either branch, or with a
-    non-finite m[k] + e[k], are rescanned in float64 on their own dataset.
+    non-finite m[k] + e[k], are rescanned in float64 on their own dataset
+    by ``interval_sums``, the arithmetic of ``scan_interval``.
     """
     screened = np.empty((sum(map(len, pairs)), 2))
     for block, slots in _equal_length_blocks(models, pairs):
@@ -235,8 +236,7 @@ def _branch_maxima(models: list[CostModel], pairs, alpha: float) -> np.ndarray:
         floor = np.where(finite, rep_screened - error, -np.inf).max(axis=0)
         verify = np.flatnonzero(np.any(~finite | (rep_screened + error >= floor), axis=1))
         rescans = [
-            branch_sums(model.gain_matrix(l, u), alpha)
-            for l, u in np.asarray(rep_pairs)[verify].tolist()
+            interval_sums(model, l, u, alpha) for l, u in np.asarray(rep_pairs)[verify].tolist()
         ]
         out.append(np.max([(sparse.max(), dense.max()) for sparse, dense in rescans], axis=0))
     return np.array(out)

@@ -18,14 +18,16 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import costs
-from .core import KIND_DENSE, KIND_SPARSE, Detection
+from .core import KIND_DENSE, KIND_SPARSE, Detection, all_variates
 from .costs import CostModel
 
 if TYPE_CHECKING:
     from .penalties import PenaltyConfig
 
 
-def branch_sums(gains: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def branch_sums(
+    gains: np.ndarray, alpha: float, carry: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Unpenalised sparse and dense sums at every split, in ``gains``' dtype.
 
     ``gains`` has variates on axis -2, as the (d, u-l) blocks from
@@ -33,10 +35,47 @@ def branch_sums(gains: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray
     sum_i max(D[i, t] - alpha, 0) and sum_i D[i, t].  Subtracting beta and K
     gives the two branch values.  The sparse terms are computed in place:
     ``gains`` is left holding max(D - alpha, 0).
+
+    ``carry`` is the (sparse, dense) pair of sums over the rows before this
+    block; it is added to the block's row 0, which then holds the carried
+    sparse sum plus its own term.  numpy sums axis -2 of a C-ordered block
+    one row after another, so the sums of a block split by rows, each part
+    carrying the sums of the parts before it, are bit-identical to the
+    sums of the whole block.
     """
+    if carry is not None:
+        head = np.maximum(gains[..., 0, :] - alpha, 0.0)
+        head += carry[0]
+        gains[..., 0, :] += carry[1]
     dense = gains.sum(axis=-2)
     gains -= alpha
-    return np.maximum(gains, 0.0, out=gains).sum(axis=-2), dense
+    np.maximum(gains, 0.0, out=gains)
+    if carry is not None:
+        gains[..., 0, :] = head
+    return gains.sum(axis=-2), dense
+
+
+def interval_sums(
+    model: CostModel, l: int, u: int, alpha: float, above: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 ``branch_sums`` of every split of (l, u), without holding a
+    (d, u-l) float block.
+
+    The gains are priced a block of at most ``costs._ROW_BLOCK_CELLS`` cells
+    of rows at a time, each block a model of its own, and each block after
+    the first carries the sums of the rows before it, so the sums equal
+    ``branch_sums(model.gain_matrix(l, u), alpha)`` bit for bit.  When given,
+    the (d, u-l) boolean array ``above`` is filled with D > alpha.
+    """
+    sums = None
+    step = max(1, costs._ROW_BLOCK_CELLS // (u - l))
+    for start in range(0, model.d, step):
+        part = slice(start, start + step)
+        gains = CostModel(model.kind, model.scale[part], model.cum_y[part]).gain_matrix(l, u)
+        if above is not None:
+            np.greater(gains, alpha, out=above[part])
+        sums = branch_sums(gains, alpha, sums)
+    return sums
 
 
 def scan_interval(
@@ -46,36 +85,13 @@ def scan_interval(
 
     Ties over ``t`` keep the smallest ``t``; an exact tie between branches
     is labelled sparse.  The sparse affected set is {i : D[i, t*] > alpha},
-    read from a (d, u-l) mask; the dense one is every variate.
-
-    The gains are priced a block of at most ``costs._ROW_BLOCK_CELLS``
-    cells of rows at a time, each block a model of its own, so no (d, u-l)
-    float block is held.  A block is reduced with the running sparse and
-    dense sums as its row 0.  numpy sums axis 0 of a C-ordered block one row
-    after another, so each column is still summed over the variates in row
-    order, and the sums are bit-identical to ``branch_sums`` of the whole
-    (d, u-l) block.
+    read from a (d, u-l) mask that ``interval_sums`` fills; the dense one is
+    every variate.
     """
     if u - l <= 1:
         raise ValueError(f"interval ({l}, {u}) has no interior split")
-    alpha = penalties.alpha
     above = np.empty((model.d, u - l), dtype=bool)
-    sparse = np.zeros(u - l)
-    dense = np.zeros(u - l)
-    step = max(1, costs._ROW_BLOCK_CELLS // (u - l))
-    for start in range(0, model.d, step):
-        part = slice(start, start + step)
-        gains = CostModel(model.kind, model.scale[part], model.cum_y[part]).gain_matrix(l, u)
-        np.greater(gains, alpha, out=above[part])
-        # Row 0 of each reduction carries the sums over the rows before it.
-        head = np.maximum(gains[0] - alpha, 0.0)
-        head += sparse
-        gains[0] += dense
-        dense = gains.sum(axis=0)
-        gains -= alpha
-        np.maximum(gains, 0.0, out=gains)
-        gains[0] = head
-        sparse = gains.sum(axis=0)
+    sparse, dense = interval_sums(model, l, u, penalties.alpha, above)
     s1 = sparse - penalties.beta
     s2 = dense - penalties.K
     s = np.maximum(s1, s2)
@@ -88,7 +104,7 @@ def scan_interval(
         affected = frozenset(int(i) + 1 for i in np.flatnonzero(above[:, best]))
     else:
         kind = KIND_DENSE
-        affected = frozenset(range(1, model.d + 1))
+        affected = all_variates(model.d)
     return Detection(
         tau=tau,
         kind=kind,

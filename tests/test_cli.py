@@ -19,6 +19,7 @@ from subsetcp import RandomSource, generate, scenario, theoretical_penalties
 from subsetcp.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 SUBCOMMANDS = ("detect", "calibrate", "simulate", "benchmark")
 
 
@@ -255,15 +256,18 @@ def test_failed_detect_write_leaves_neither_output(tmp_path, capsys, blocked):
     assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == ["counts.csv"]
 
 
-def _panel_csv(tmp_path, n, d, tau, offset=0.0, twin=False):
+def _panel_csv(tmp_path, n, d, tau, offset=0.0, twin=False, rounded=False):
     """Seeded standard Gaussian panel plus ``offset``; the first min(d, 5)
     variates shift by 8 after ``tau`` (no shift when tau is None).  With
-    ``twin`` the last variate is a copy of the first."""
+    ``twin`` the last variate is a copy of the first; with ``rounded`` every
+    value is rounded to an integer."""
     y = offset + np.random.default_rng(240).standard_normal((d, n))
     if tau is not None:
         y[:5, tau:] += 8.0
     if twin:
         y[-1] = y[0]
+    if rounded:
+        y = np.round(y)
     lines = ["time," + ",".join(f"x{i}" for i in range(1, d + 1))] + [
         f"{t + 1}," + ",".join(f"{v:.6f}" for v in y[:, t]) for t in range(n)
     ]
@@ -289,10 +293,13 @@ _SHIFTED = ["x1", "x2", "x3", "x4", "x5"]
         # shifted variates.
         (200, 10, 100, {"twin": True}, [], 0, [100], [(100, "dense", [*_SHIFTED, "x10"])]),
         (200, 10, 100, {"offset": 1e8}, [], 0, [100], [(100, "sparse", _SHIFTED)]),
+        # Integer data quantise the MAD scale estimate: every variate gets
+        # sigma = 1 / (0.6745 sqrt(2)), about 1.048.
+        (200, 10, 100, {"rounded": True}, [], 0, [100], [(100, "sparse", _SHIFTED)]),
     ],
     ids=[
         "change-at-1", "change-at-n-1", "n-3", "d-1-calibrated", "d-1-manual",
-        "duplicated-variate", "offset-1e8",
+        "duplicated-variate", "offset-1e8", "rounded-to-integers",
     ],
 )
 def test_awkward_inputs_through_detect(
@@ -384,16 +391,17 @@ def test_wide_detect_holds_few_copies_of_the_panel(tmp_path, capsys):
 def test_wide_negbin_detect_holds_few_copies_of_the_panel(tmp_path, capsys):
     # NB(20, 0.5) counts with p down to 0.4 on 50 variates after t = 600.
     # The scans hold the input, the prefix table, one block of rows of the
-    # negbin kernel's temporaries, and the memo of scanned intervals, whose
-    # dense candidates each keep a d-element affected set: about 3.5 panels
-    # in all.
-    # A whole (d, u - l) gain block in the scans pushes it to 4.2.
+    # negbin kernel's temporaries and a (d, u - l) boolean mask: about 2.8
+    # panels in all.  The memo of scanned intervals keeps 98 dense
+    # candidates, which share one affected set of all d variates; a set for
+    # each pushes the job to 3.5, and a whole (d, u - l) gain block in the
+    # scans to 3.8.
     n = d = 1000
     p = np.full((d, n), 0.5)
     p[:50, 600:] = 0.4
     counts = np.random.default_rng(0).negative_binomial(20, p)
     options = ["--model", "negbin", "--intervals", "200"]
-    assert _detect_peak_in_panels(tmp_path, capsys, counts, "%d", options) < 3.8
+    assert _detect_peak_in_panels(tmp_path, capsys, counts, "%d", options) < 3.2
 
 
 def test_all_zero_count_variate_fails_in_the_residual_diagnostic(tmp_path, capsys):
@@ -704,3 +712,15 @@ def test_console_script_is_installed(tmp_path):
 )
 def test_installed_console_script_lists_the_subcommands():
     _assert_help_lists_subcommands(shutil.which("subsetcp"))
+
+
+def test_readme_library_example_prints_its_stated_output(capsys):
+    # The "Library use" block runs as written and prints what its closing
+    # comment says.
+    text = README.read_text()
+    start = text.index("```python\n", text.index("## Library use")) + len("```python\n")
+    block = text[start : text.index("\n```", start)]
+    stated = block.rstrip().splitlines()[-1]
+    assert stated == "# 250 sparse [1, 2, 3]"
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out == stated[2:] + "\n"

@@ -38,7 +38,7 @@ from subsetcp import (
     scan_interval,
     theoretical_penalties,
 )
-from subsetcp import baselines, penalties
+from subsetcp import baselines, costs, penalties
 from subsetcp.penalties import (
     _aggregated_maxima,
     _branch_maxima,
@@ -187,8 +187,8 @@ def test_calibration_prices_every_split_interval_once_per_replicate(monkeypatch)
     # class attribute CostModel.gain_matrix and baselines.cusum_matrix, so
     # every interval with a split must be priced through them: once per
     # replicate in a block of equal-length windows (float32 for the beta
-    # screen), then, for beta, rescanned in float64 on the replicate's own
-    # model only where the screen cannot decide.
+    # screen), then, for beta, rescanned in float64 on row slices of the
+    # replicate's own model only where the screen cannot decide.
     models, gain_calls, cusum_calls = [], [], []
     sample, gain, cusum = NullModel.sample_model, CostModel.gain_matrix, baselines.cusum_matrix
 
@@ -226,8 +226,8 @@ def test_calibration_prices_every_split_interval_once_per_replicate(monkeypatch)
     assert Counter(covered) == Counter(expected)
     assert len(screens) < len(expected)
     rescans = [
-        (next(rep for rep, own in enumerate(models) if own is model), l, u)
-        for model, l, u, dtype in gain_calls
+        (next(rep for rep, own in enumerate(models) if np.shares_memory(m.cum_y, own.cum_y)), l, u)
+        for m, l, u, dtype in gain_calls
         if dtype == np.float64
     ]
     assert reps <= len(rescans) < len(expected)
@@ -386,6 +386,18 @@ def test_screened_replicate_maxima_equal_the_float64_scan(data):
     model, pairs, alpha = data
     screened = _branch_maxima([model], [pairs], alpha)
     assert screened.shape == (1, 2)
+    assert screened[0].tobytes() == branch_maxima(model, pairs, alpha).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_screened_datasets())
+def test_screened_maxima_equal_the_float64_scan_with_one_row_blocks(data):
+    # With blocks of one row, each float64 rescan takes d blocks, every one
+    # after the first carrying the sums of the rows before it.
+    model, pairs, alpha = data
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(costs, "_ROW_BLOCK_CELLS", 1)
+        screened = _branch_maxima([model], [pairs], alpha)
     assert screened[0].tobytes() == branch_maxima(model, pairs, alpha).tobytes()
 
 

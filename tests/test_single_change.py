@@ -17,12 +17,14 @@ from subsetcp import (
     KIND_DENSE,
     KIND_SPARSE,
     NEGBIN,
+    BaselineConfig,
     CostModel,
     PenaltyConfig,
     gaussian_model,
     make_matrix,
     negbin_model,
     scan_interval,
+    scan_interval_baseline,
 )
 from subsetcp.single_change import branch_sums
 
@@ -140,6 +142,39 @@ def test_branch_sums_equal_the_allocating_form_and_leave_the_excesses(dtype):
     assert gains.tobytes() == excess.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    batch=st.sampled_from([(), (3,)]),
+    d=st.integers(1, 30),
+    m=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_carried_branch_sums_equal_the_whole_block_sums(dtype, batch, d, m, seed, data):
+    # Gains of (d, m) or (G, d, m) blocks, split by rows into parts of one
+    # row, parts of a size that does not divide d, and at drawn cut points;
+    # each part carries the sums of the parts before it.  The last sums must
+    # equal the whole block's, byte for byte.
+    rng = np.random.default_rng(seed)
+    alpha = float(rng.uniform(0.0, 6.0))
+    gains = (3.0 * rng.standard_normal((*batch, d, m)) ** 2).astype(dtype)
+    gains[..., rng.random(d) < 0.2, :] = dtype(alpha)
+    gains[..., rng.random(d) < 0.2, :] = 0.0
+    want = branch_sums(gains.copy(), alpha)
+    cuts = data.draw(st.lists(st.integers(1, d - 1), unique=True)) if d > 1 else []
+    non_divisors = [k for k in range(2, d) if d % k]
+    splits = [range(1, d), range(0, d, non_divisors[0])[1:] if non_divisors else [], cuts]
+    for split in splits:
+        bounds = [0, *sorted(split), d]
+        sums = None
+        for start, stop in zip(bounds, bounds[1:]):
+            sums = branch_sums(gains[..., start:stop, :].copy(), alpha, sums)
+        for got, expected in zip(sums, want):
+            assert got.dtype == expected.dtype == dtype
+            assert got.tobytes() == expected.tobytes()
+
+
 def test_statistic_is_branch_maximum_and_gains_nonnegative():
     rng = np.random.default_rng(83)
     model = gaussian_model(make_matrix(rng.standard_normal((4, 30))), sigma=1.0)
@@ -178,6 +213,11 @@ def test_dense_branch_labels_every_variate():
     assert det is not None
     assert det.kind == KIND_DENSE
     assert det.affected == frozenset(range(1, 7))
+    # Dense candidates of one model, and baseline candidates, share one set.
+    other = scan_interval(model, pen, 11, 70)
+    baseline = scan_interval_baseline(model, BaselineConfig("mean", 0.1), 1, 80)
+    assert other is not None and other.kind == KIND_DENSE and baseline is not None
+    assert other.affected is det.affected and baseline.affected is det.affected
 
 
 def test_equal_splits_keep_the_smallest_index():
