@@ -38,7 +38,8 @@ class BaselineConfig:
 
 def cusum_matrix(model: CostModel, l: int, u: int) -> np.ndarray:
     """Absolute CUSUM rows for all variates and every split of (l, u); shape (d, u-l)."""
-    return np.abs(model.cusum(l, u))
+    w = model.cusum(l, u)
+    return np.abs(w, out=w)
 
 
 def baseline_statistic(w: np.ndarray, method: str, n: int) -> np.ndarray:

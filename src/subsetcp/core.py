@@ -13,6 +13,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,8 +42,9 @@ class NumericalError(ChangepointError):
 class TimeSeriesMatrix:
     """A d-variate series of length n, stored as a read-only (d, n) array.
 
-    Values are kept as floats even for count data; count models validate
-    integrality when they are built.
+    ``values`` is any 2-d array-like of numbers; the constructor makes the
+    one read-only, C-ordered float64 copy, so callers pass their data as
+    drawn or parsed.  Count models validate integrality when they are built.
     """
 
     values: np.ndarray
@@ -50,7 +52,7 @@ class TimeSeriesMatrix:
     time_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C")
         if values.ndim != 2:
             raise InputDataError(f"expected a 2-d array, got {values.ndim} dims")
         d, n = values.shape
@@ -58,7 +60,8 @@ class TimeSeriesMatrix:
             raise InputDataError("matrix needs at least one variate")
         if n < 2:
             raise InputDataError(f"series length must be >= 2, got {n}")
-        if not np.all(np.isfinite(values)):
+        # A NaN propagates through min, and an infinity is the min or the max.
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
             raise InputDataError("matrix contains NaN or infinite entries")
         if len(self.variate_names) != d:
             raise InputDataError(
@@ -70,7 +73,6 @@ class TimeSeriesMatrix:
             raise InputDataError(
                 f"got {len(self.time_labels)} time labels for length-{n} series"
             )
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variate_names", tuple(self.variate_names))
@@ -104,7 +106,7 @@ def make_matrix(
     if names is None:
         names = tuple(f"x{i}" for i in range(1, len(rows) + 1))
     return TimeSeriesMatrix(
-        values=np.array(rows, dtype=float),
+        values=rows,
         variate_names=tuple(names),
         time_labels=tuple(time_labels) if time_labels is not None else None,
     )

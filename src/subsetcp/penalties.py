@@ -111,8 +111,8 @@ class NullModel:
         if self.kind == GAUSSIAN:
             matrix = TimeSeriesMatrix(g.standard_normal((d, n)), names)
             return gaussian_model(matrix, sigma=None if self.estimate_scale else 1.0)
-        values = g.negative_binomial(self.r, self.p, size=(d, n)).astype(float)
-        return negbin_model(TimeSeriesMatrix(values, names))
+        matrix = TimeSeriesMatrix(g.negative_binomial(self.r, self.p, size=(d, n)), names)
+        return negbin_model(matrix)
 
 
 def _null_maxima(

@@ -108,7 +108,7 @@ def _parse_cells(handle, path: Path):
                 ) from None
     if len(labels) < 2:
         raise InputDataError(f"{path}: need at least 2 data rows, got {len(labels)}")
-    return tuple(names), tuple(labels), np.array(columns, dtype=float)
+    return tuple(names), tuple(labels), columns
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

@@ -146,13 +146,15 @@ def scenario(
         )
     if model not in (GAUSSIAN, NEGBIN):
         raise InputDataError(f"model must be {GAUSSIAN!r} or {NEGBIN!r}, got {model!r}")
+    if name in _DENSITY_SCENARIOS and model != GAUSSIAN:
+        raise InputDataError("density scenarios A..E are Gaussian layouts")
+    if d is None:
+        d = 1000 if name in _DENSITY_SCENARIOS else 12
+    if n < 2 or d < 1:  # before the affected sets, which would be empty
+        raise InputDataError("scenario needs n >= 2 and d >= 1")
     if name in _DENSITY_SCENARIOS:
-        if model != GAUSSIAN:
-            raise InputDataError("density scenarios A..E are Gaussian layouts")
-        d = 1000 if d is None else d
         sets = [_density_set(f, d) for f in _DENSITY_SCENARIOS[name]]
     else:
-        d = 12 if d is None else d
         sets = [_resolve_set(s, d) for s in _SMALL_SCENARIOS[name]]
     times = [round(t * n / 1000) for t in _MULTI_TIMES]
     if any(b <= a for a, b in zip(times, times[1:])) or times[0] < 1 or times[-1] > n - 1:
@@ -164,9 +166,9 @@ def scenario(
         for t, s in zip(times, sets)
         if shift != 0
     ]
-    if surge:
+    s_shift = -dp if model == NEGBIN else _SURGE_SHIFT
+    if surge and s_shift != 0:
         s_times = [round(t * n / 1000) for t in _SURGE_TIMES]
-        s_shift = -dp if model == NEGBIN else _SURGE_SHIFT
         changes = [
             ChangeSpec(tau=s_times[0], affected=(_SURGE_VARIATE,), delta=s_shift),
             ChangeSpec(tau=s_times[1], affected=(_SURGE_VARIATE,), delta=-s_shift),
@@ -205,7 +207,7 @@ def generate(
     if spec.model == GAUSSIAN:
         values = signal + g.standard_normal((spec.d, spec.n))
     else:
-        values = g.negative_binomial(spec.negbin_r, signal).astype(float)
+        values = g.negative_binomial(spec.negbin_r, signal)
     names = tuple(f"x{i}" for i in range(1, spec.d + 1))
     return TimeSeriesMatrix(values, names), spec.changes
 

@@ -145,10 +145,31 @@ def split_gains(y, l: int, u: int, params) -> np.ndarray:
     ])
 
 
-def scan_interval(y, l: int, u: int, penalties, params):
+class TieLog:
+    """Comparisons that take values within ``tol`` relative as equal, and
+    the list of those ties; the tie rule of each decision then applies."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.ties: list[tuple[float, float]] = []
+
+    def above(self, a: float, b: float) -> bool:
+        if abs(a - b) <= self.tol * (1.0 + max(abs(a), abs(b))):
+            self.ties.append((a, b))
+            return False
+        return a > b
+
+
+def _above(a: float, b: float, ties: TieLog | None) -> bool:
+    """a > b, or ``ties.above(a, b)`` when a tie log is given."""
+    return a > b if ties is None else ties.above(a, b)
+
+
+def scan_interval(y, l: int, u: int, penalties, params, ties: TieLog | None = None):
     """Best candidate on (l, u) from ``split_gains`` on the raw series, one
     split and one variate at a time, or None when nothing clears 0.  Ties
-    over t keep the smallest t; a tie between branches is sparse."""
+    over t keep the smallest t; a tie between branches is sparse.  Every
+    comparison goes through ``ties`` when given."""
     gains = split_gains(y, l, u, params)
     best = None
     for t in range(l, u):
@@ -156,11 +177,15 @@ def scan_interval(y, l: int, u: int, penalties, params):
         sparse = sum(max(g - penalties.alpha, 0.0) for g in column) - penalties.beta
         dense = sum(column) - penalties.K
         stat = max(sparse, dense)
-        if stat <= 0.0 or (best is not None and stat <= best.statistic):
+        if not _above(stat, 0.0, ties) or (
+            best is not None and not _above(stat, best.statistic, ties)
+        ):
             continue
-        if sparse >= dense:
+        if not _above(dense, sparse, ties):
             kind = KIND_SPARSE
-            affected = frozenset(i + 1 for i, g in enumerate(column) if g > penalties.alpha)
+            affected = frozenset(
+                i + 1 for i, g in enumerate(column) if _above(g, penalties.alpha, ties)
+            )
         else:
             kind, affected = KIND_DENSE, frozenset(range(1, len(column) + 1))
         best = Detection(tau=t, kind=kind, affected=affected, statistic=stat, interval=(l, u))
@@ -279,19 +304,30 @@ def calibrated_beta(maxima: np.ndarray, d: int, target_fp: float) -> float:
     return float(np.quantile(minima, 1.0 - target_fp, method="higher"))
 
 
-def best_partition(y, taus, alpha: float, sigma=None, r=None) -> tuple[int, ...]:
+def best_partition(
+    y, taus, alpha: float, sigma=None, r=None, ties: TieLog | None = None
+) -> tuple[int, ...]:
     """Subset of ``taus`` minimizing total cost plus ``alpha`` per segment,
-    by enumeration; among equal objectives the first subset found wins."""
+    by enumeration; among equal objectives the first subset found wins.
+    When ``ties`` is given, two best objectives within its tolerance are
+    logged as a tie."""
     n = len(y)
+    cost = {
+        (a, b): segment_cost(y, a + 1, b, sigma, r)
+        for a, b in itertools.combinations([0, *taus, n], 2)
+    }
     best_val, best_sel = math.inf, ()
+    values = []
     for k in range(len(taus) + 1):
         for keep in itertools.combinations(taus, k):
             bounds = [0, *keep, n]
-            val = sum(
-                segment_cost(y, a + 1, b, sigma, r) + alpha for a, b in zip(bounds, bounds[1:])
-            )
+            val = sum(cost[a, b] + alpha for a, b in zip(bounds, bounds[1:]))
+            values.append(val)
             if val < best_val - 1e-12:
                 best_val, best_sel = val, tuple(keep)
+    if ties is not None and len(values) > 1:
+        first, second = sorted(values)[:2]
+        ties.above(second, first)
     return best_sel
 
 
@@ -314,10 +350,11 @@ def draw_intervals(n: int, m: int, g) -> list[tuple[int, int]]:
     return pairs
 
 
-def segmentation_driver(n: int, intervals, scan) -> list:
+def segmentation_driver(n: int, intervals, scan, ties: TieLog | None = None) -> list:
     """WBS recursion that calls ``scan(l, u)`` for the segment and for every
-    stored interval it contains, at every level; the segment wins exact
-    ties, then stored intervals in index order."""
+    distinct stored interval it contains, at every level; the segment wins
+    exact ties, then stored intervals in index order.  Candidates are
+    compared through ``ties`` when given."""
     detections = []
     stack = [(1, n)]
     while stack:
@@ -325,11 +362,13 @@ def segmentation_driver(n: int, intervals, scan) -> list:
         if u0 - l0 <= 1:
             continue
         best = scan(l0, u0)
-        for l, u in intervals.pairs:
+        for l, u in dict.fromkeys(intervals.pairs):
             if (l, u) == (l0, u0) or l < l0 or u > u0 or u - l <= 1:
                 continue
             candidate = scan(l, u)
-            if candidate is not None and (best is None or candidate.statistic > best.statistic):
+            if candidate is not None and (
+                best is None or _above(candidate.statistic, best.statistic, ties)
+            ):
                 best = candidate
         if best is None:
             continue
@@ -338,6 +377,30 @@ def segmentation_driver(n: int, intervals, scan) -> list:
         stack.append((best.tau + 1, u0))
     detections.sort(key=lambda det: det.tau)
     return detections
+
+
+def subset_wbs(y, intervals, penalties, params, ties: TieLog | None = None) -> list:
+    """The whole detector on the raw series ``y`` (d, n): ``scan_interval``
+    driven by ``segmentation_driver``, then postprocess, in which variate i
+    keeps the candidates that ``best_partition`` selects with ``params[i]``
+    and the penalties' alpha.  Returns the candidates that some variate
+    keeps, sorted by tau, each with the set of variates that keep it.
+    Every step compares through ``ties`` when given."""
+    y = np.asarray(y, dtype=float)
+    candidates = segmentation_driver(
+        y.shape[1], intervals, lambda l, u: scan_interval(y, l, u, penalties, params, ties), ties
+    )
+    taus = [det.tau for det in candidates]
+    kept = [
+        best_partition(row, taus, penalties.alpha, ties=ties, **param)
+        for row, param in zip(y, params)
+    ]
+    out = []
+    for det in candidates:
+        affected = frozenset(i + 1 for i, keep in enumerate(kept) if det.tau in keep)
+        if affected:
+            out.append(dataclasses.replace(det, affected=affected))
+    return out
 
 
 def sparse_beta_closed_form(n: int, d: int, C: float) -> float:

@@ -5,6 +5,7 @@ import importlib
 import importlib.metadata
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 import subsetcp
 from subsetcp import RandomSource, generate, scenario, theoretical_penalties
-from subsetcp.cli import main
+from subsetcp.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -565,6 +566,9 @@ def test_negative_seed_fails_with_a_message(tmp_path, capsys, command):
         (["calibrate", "--n", "2", "--d", "3", "--reps", "20"], "needs n >= 3, got 2"),
         (["calibrate", "--n", "1000", "--d", "1000", "--reps", "20", "--intervals", "-1"],
          "interval count must be >= 0, got -1"),
+        (["simulate", "--scenario", "Aprime", "--d", "0"], "scenario needs n >= 2 and d >= 1"),
+        (["simulate", "--scenario", "Aprime", "--d", "-2"], "scenario needs n >= 2 and d >= 1"),
+        (["simulate", "--scenario", "A", "--d", "0"], "scenario needs n >= 2 and d >= 1"),
     ],
 )
 def test_non_finite_model_parameters_fail_before_sampling(monkeypatch, capsys, args, message):
@@ -724,3 +728,24 @@ def test_readme_library_example_prints_its_stated_output(capsys):
     assert stated == "# 250 sparse [1, 2, 3]"
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out == stated[2:] + "\n"
+
+
+def _readme_commands():
+    """Each ``subsetcp …`` line of README's bash blocks, with its ``\\``
+    continuations joined, split into words."""
+    text = README.read_text()
+    commands = []
+    for block in text.split("```bash\n")[1:]:
+        joined = block[: block.index("```")].replace("\\\n", " ")
+        commands.extend(
+            shlex.split(line) for line in joined.splitlines() if line.startswith("subsetcp ")
+        )
+    return commands
+
+
+def test_readme_command_lines_parse():
+    # A renamed or removed flag fails here rather than leaving the docs wrong.
+    commands = _readme_commands()
+    assert {argv[1] for argv in commands} == set(SUBCOMMANDS)
+    for argv in commands:
+        assert build_parser().parse_args(argv[1:]).command == argv[1]

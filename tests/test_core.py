@@ -1,5 +1,7 @@
 """Data model basics: matrix construction, detections, randomness contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,9 @@ def test_matrix_rejects_short_series_and_bad_labels():
         TimeSeriesMatrix(np.zeros((2, 3)), ("a", "a"))
     with pytest.raises(InputDataError, match="time labels"):
         TimeSeriesMatrix(np.zeros((1, 3)), ("a",), time_labels=("t1", "t2"))
-    with pytest.raises(InputDataError, match="NaN"):
-        make_matrix([[1.0, float("nan")]])
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(InputDataError, match="NaN or infinite"):
+            make_matrix([[1.0, 2.0], [3.0, float(bad)]])
 
 
 def test_matrix_values_are_read_only():
@@ -51,6 +54,40 @@ def test_matrix_values_are_read_only():
     m2 = TimeSeriesMatrix(src, ("a",))
     src[0, 0] = 99.0
     assert m2.values[0, 0] == 1.0
+
+
+def _conversion_inputs():
+    ints = np.arange(12, dtype=np.int64).reshape(3, 4) * 7 - 20
+    floats = np.random.default_rng(3).standard_normal((3, 4)) * 1e5
+    return {
+        "int64": ints,
+        "float32": floats.astype(np.float32),
+        "lists": ints.tolist(),
+        "fortran": np.asfortranarray(floats),
+        "c-order": floats,
+    }
+
+
+@pytest.mark.parametrize("kind", list(_conversion_inputs()))
+def test_matrix_makes_the_one_float64_copy(kind):
+    # Callers pass their data as drawn or parsed; the matrix alone converts.
+    x = _conversion_inputs()[kind]
+    values = TimeSeriesMatrix(x, ("a", "b", "c")).values
+    assert values.dtype == np.float64
+    assert values.flags.c_contiguous and not values.flags.writeable
+    assert not np.shares_memory(values, np.asarray(x))
+    assert values.tobytes() == np.asarray(x, dtype=float).copy().tobytes()
+
+
+def test_make_matrix_of_a_wide_array_copies_it_once():
+    rows = np.random.default_rng(5).standard_normal((1000, 1000))
+    tracemalloc.start()
+    try:
+        make_matrix(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows.nbytes < 1.2
 
 
 def test_detection_validation():

@@ -1,6 +1,7 @@
 """Penalty construction: defaults, the closed-form sparse threshold, calibration."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -348,6 +349,20 @@ def test_null_model_scale_estimation_path():
     assert np.all(m_known.scale == 1.0)
     assert not np.any(m_est.scale == 1.0)
     assert np.all(np.abs(m_est.scale - 1.0) < 0.25)
+
+
+@pytest.mark.parametrize(("kind", "panels"), [(NEGBIN, 2.5), (GAUSSIAN, 2.1)])
+def test_a_wide_null_replicate_holds_few_copies_of_the_panel(kind, panels):
+    # The draws go straight into the matrix, which makes the one float64
+    # copy; the model adds its prefix table.  Converting the int64 counts
+    # before the matrix copied them again took 3.2 panels.
+    tracemalloc.start()
+    try:
+        NullModel(kind=kind).sample_model(1000, 1000, RandomSource(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 1000 * 1000) < panels
 
 
 @st.composite

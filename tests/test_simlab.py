@@ -84,6 +84,8 @@ def test_change_times_scale_with_series_length():
 
 def test_zero_shift_gives_empty_truth():
     assert scenario("A", delta=0.0).changes == ()
+    # A count surge shifts by dp too, so dp = 0 drops it as well.
+    assert scenario("Aprime", model="negbin", dp=0.0, surge=True).changes == ()
 
 
 def test_surge_prepends_two_cancelling_changes():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -27,6 +27,7 @@ from subsetcp import (
     generate,
     make_matrix,
     negbin_model,
+    postprocess,
     scan_interval,
     scan_interval_baseline,
     subset_wbs,
@@ -233,3 +234,94 @@ def test_each_interval_is_scanned_once_and_ties_go_to_the_segment_then_the_lowes
          (15, 20)],
         1,
     )
+
+
+@st.composite
+def _detector_cases(draw):
+    """A short panel of either model with changes on some variates, its
+    stored intervals, and manual penalties placed among the gains of the
+    full interval, as (kind, y, sigma, pairs, penalties, tied).  Gaussian
+    scales are given (``sigma``); count dispersions are estimated.  ``tied``
+    is False: these draws are kept only without near ties."""
+    kind = draw(st.sampled_from([GAUSSIAN, NEGBIN]))
+    n = draw(st.integers(3, 30))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taus = sorted(set(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2))))
+    if kind == GAUSSIAN:
+        y = rng.standard_normal((d, n)) + rng.uniform(-5.0, 5.0, size=(d, 1))
+        for tau in taus:
+            y[rng.random(d) < 0.5, tau:] += draw(st.sampled_from([1.0, 3.0]))
+        y *= rng.uniform(0.5, 3.0, size=(d, 1))
+        sigma = np.std(y, axis=1) + 0.5
+    else:
+        r = rng.choice([0.5, 5.0, 50.0], size=(d, 1))
+        mean = np.repeat(rng.uniform(3.0, 30.0, size=(d, 1)), n, axis=1)
+        for tau in taus:
+            mean[rng.random(d) < 0.5, tau:] *= draw(st.sampled_from([2.0, 4.0]))
+        y = rng.negative_binomial(r, r / (r + mean)).astype(float)
+        sigma = None
+    pairs = draw(st.lists(_pair(n), max_size=8))
+    gains = oracles.split_gains(y, 1, n, _oracle_params(kind, y, sigma))
+    fa, fb, fk = draw(
+        st.tuples(st.floats(0.05, 0.95), st.floats(0.2, 1.5), st.floats(0.2, 1.5))
+    )
+    top = float(gains.max())
+    alpha = fa * top if top > 0.0 else fa
+    beta = fb * float(np.maximum(gains - alpha, 0.0).sum(axis=0).max())
+    pen = PenaltyConfig(alpha, beta, max(beta, fk * float(gains.sum(axis=0).max())))
+    return kind, y, sigma, pairs, pen, False
+
+
+def _oracle_params(kind, y, sigma):
+    if kind == GAUSSIAN:
+        return [{"sigma": float(s)} for s in sigma]
+    return [{"r": oracles.moments_dispersion(row)} for row in y]
+
+
+def test_detector_matches_the_whole_detector_oracle():
+    # oracles.subset_wbs runs the scalar scanner through the memo-free
+    # driver and postprocesses by enumerating partitions, all on the raw
+    # series.  A draw in which any comparison of the oracle (two splits,
+    # two candidates of a step, the branches, a gain and alpha, a statistic
+    # and 0, two partitions) lies within 1e-9 relative is discarded, and
+    # such draws must stay rare.  The explicit examples are exact ties in
+    # both, which the tie rules must decide as the oracle does: a series
+    # mirrored about its midpoint (on two duplicated variates) ties two
+    # splits, so the smaller wins; alpha = 0 with K = beta ties the
+    # branches, so the candidate is sparse; and two overlapping stored
+    # intervals holding the same values tie, so the first stored wins (were
+    # the second to win, the first would straddle its split and be lost).
+    draws = {"all": 0, "near_tie": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_detector_cases())
+    @example(case=(GAUSSIAN, np.array([[0.0, 3, 0], [0, 3, 0]]), [1.0, 1.0], [],
+                   PenaltyConfig(1.0, 0.25, 10.0), True))
+    @example(case=(GAUSSIAN, np.array([[0.0, 0, 3, 3]]), [1.0], [],
+                   PenaltyConfig(0.0, 1.0, 1.0), True))
+    @example(case=(GAUSSIAN, np.array([[7.0, 1, 7, 1, 7, 1]]), [1.0], [(1, 4), (3, 6)],
+                   PenaltyConfig(1.0, 10.0, 100.0), True))
+    def check(case):
+        kind, y, sigma, pairs, pen, tied = case
+        n = y.shape[1]
+        draws["all"] += 1
+        ties = oracles.TieLog(1e-9)
+        iv = IntervalSet(n, ((1, n), *pairs))
+        want = oracles.subset_wbs(y, iv, pen, _oracle_params(kind, y, sigma), ties)
+        if tied:
+            assert ties.ties
+        else:
+            draws["near_tie"] += bool(ties.ties)
+            assume(not ties.ties)
+        matrix = make_matrix(y)
+        model = gaussian_model(matrix, sigma=sigma) if kind == GAUSSIAN else negbin_model(matrix)
+        got = postprocess(model, subset_wbs(model, pen, iv)).detections
+        assert [(g.tau, g.kind, g.affected, g.interval) for g in got] == [
+            (w.tau, w.kind, w.affected, w.interval) for w in want
+        ]
+        for g, w in zip(got, want):
+            assert abs(g.statistic - w.statistic) <= 1e-9 * (1.0 + abs(w.statistic))
+
+    check()
+    assert draws["near_tie"] < 0.1 * draws["all"]
