@@ -36,9 +36,13 @@ class BaselineConfig:
             )
 
 
-def cusum_matrix(model: CostModel, l: int, u: int) -> np.ndarray:
-    """Absolute CUSUM rows for all variates and every split of (l, u); shape (d, u-l)."""
-    w = model.cusum(l, u)
+def cusum_matrix(model: CostModel, l: int, u: int, dtype=np.float64) -> np.ndarray:
+    """Absolute CUSUM rows for all variates and every split of (l, u); shape (d, u-l).
+
+    ``dtype`` is ``CostModel.cusum``'s: float64 for detection and exact
+    rescans, float32 for calibration's screen.
+    """
+    w = model.cusum(l, u, dtype)
     return np.abs(w, out=w)
 
 
@@ -54,7 +58,7 @@ def baseline_statistic(w: np.ndarray, method: str, n: int) -> np.ndarray:
     if method == METHOD_MAX:
         return w.max(axis=-2)
     if method == METHOD_BINWEIGHT:
-        return np.where(w > math.sqrt(2.0 * math.log(n)), w, 0.0).sum(axis=-2)
+        return np.add.reduce(w, axis=-2, where=w > math.sqrt(2.0 * math.log(n)))
     raise InputDataError(f"unknown baseline {method!r}; choose from {BASELINE_METHODS}")
 
 

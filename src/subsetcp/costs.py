@@ -96,20 +96,38 @@ class CostModel:
 
         Column ``t - l`` holds sqrt(left*right/length) * (right mean - left
         mean) of the sigma-scaled series; its square is the Gaussian gain.
-        ``dtype`` is the working precision; the sums are float64 differences
-        of the prefix table, rounded once to it.  The output is filled a
-        block of rows at a time, so the only temporary is one block of left
-        sums.
+        With C the prefix table, L = u - l + 1 and j = t - l + 1 points on
+        the left, that is the split norm times
+        a = C[l - 1] (1 - j / L) + C[u] j / L - C[t].
+
+        ``dtype`` float64 is the exact path: the left and whole sums are
+        float64 differences of the prefix table.  float32 is calibration's
+        screen: the rank-2 product [C[l - 1], C[u]] . [1 - j / L; j / L] on
+        the table rounded to float32, one BLAS call per block, minus C[t].
+        ``cusum_error_bound`` bounds how far the two lie apart.  The output
+        is filled a block of rows at a time, so the temporaries stay one
+        block in size.
         """
         if self.kind != GAUSSIAN:
             raise InputDataError("CUSUM statistics are defined for the Gaussian model only")
         self._check_interval(l, u)
         length = u - l + 1
         len_left = np.arange(1, length, dtype=dtype)
-        share = len_left / length
         norm = np.sqrt(length / (len_left * (length - len_left)))
         w = np.empty((self.d, u - l), dtype)
         step = max(1, _ROW_BLOCK_CELLS // (u - l))
+        if w.dtype == np.float32:
+            weights = np.empty((2, u - l), dtype)
+            np.divide(length - len_left, length, out=weights[0])
+            np.divide(len_left, length, out=weights[1])
+            for start in range(0, self.d, step):
+                rows = self.cum_y[start : start + step]
+                ends = rows[:, l - 1 : u + 1 : length].astype(dtype)
+                block = np.matmul(ends, weights, out=w[start : start + step])
+                block -= rows[:, l:u].astype(dtype)
+                block *= norm
+            return w
+        share = len_left / length
         for start in range(0, self.d, step):
             rows = self.cum_y[start : start + step]
             base = rows[:, l - 1 : l]
@@ -163,50 +181,100 @@ class CostModel:
         at float32 and at float64.
 
         ``dense_max[k]`` is the largest float32 column sum of D32 on interval
-        k.  The bound is infinite where its proof does not apply.
+        k.  The bound is infinite where its proof does not apply; every proof
+        needs n < 2^24, so that split counts are exact in float32, and
+        d < 2^20.
 
-        Both blocks start from the same float64 sums, so a bound on each
-        block's error against exact arithmetic on those sums, with unit
-        roundoff u, bounds their distance once u is ``SCREEN_ROUNDOFF``.
-        Every operation rounds once (|error| <= u |result|); numpy's float32
-        ``log`` is within 4 ulp of the exact value, so within 9u |log x|
-        (Higham 2002, ch. 3 and 4, for the model and the sums).
+        A bound on each block's error against exact arithmetic on the same
+        float64 inputs, with unit roundoff u, bounds their distance once u is
+        ``SCREEN_ROUNDOFF``.  Every operation rounds once (|error| <= u
+        |result|); numpy's float32 ``log`` is within 4 ulp of the exact
+        value, so within 9u |log x| (Higham 2002, ch. 3 and 4, for the model
+        and the sums).
 
-        Negbin, one span with sum T, length L and p = T / (T + Lr): the
-        ratios carry relative error 5u (p) and 6u (1 - p), so the two terms
-        of -cost / 2 are off by at most u (T + Lr) (5p + 11 p|log p|) and
-        u (T + Lr) (6(1 - p) + 12 (1 - p)|log(1 - p)|); with their sum this
-        is at most 15.1 u (T + Lr), so a cost is off by 30.2 u (T + Lr).
-        A gain takes three costs, the whole interval's and its two pieces',
-        whose T + Lr add up to the whole's S + Lr: 60.4 u (S + Lr).  The two
-        subtractions round results no larger than the full cost, at most
-        2 ln 2 (S + Lr), and clipping at 0 adds nothing.  In all,
-        63.2 u (S + Lr) per variate at every split, taken as 64 to cover
-        second-order terms.  The proof needs normal float32
-        values, which integer counts give when r >= 2^-40, S + Lr <= 2^40
-        and n < 2^24.
+        Negbin blocks start from the same float64 sums.  One span with sum T,
+        length L and p = T / (T + Lr): the ratios carry relative error 5u (p)
+        and 6u (1 - p), so the two terms of -cost / 2 are off by at most
+        u (T + Lr) (5p + 11 p|log p|) and u (T + Lr) (6(1 - p) + 12 (1 - p)
+        |log(1 - p)|); with their sum this is at most 15.1 u (T + Lr), so a
+        cost is off by 30.2 u (T + Lr).  A gain takes three costs, the whole
+        interval's and its two pieces', whose T + Lr add up to the whole's
+        S + Lr: 60.4 u (S + Lr).  The two subtractions round results no
+        larger than the full cost, at most 2 ln 2 (S + Lr), and clipping at 0
+        adds nothing.  In all, 63.2 u (S + Lr) per variate at every split,
+        taken as 64 to cover second-order terms.  The proof needs normal
+        float32 values, which integer counts give when r >= 2^-40 and
+        S + Lr <= 2^40.
 
-        Gaussian, with P_i the largest |prefix sum| of variate i, so that
-        |S| and |left sum| are at most 2 P_i: the CUSUM w is off by at most
-        u (8.9 P_i + 4 |w|), so the gain w^2 by 17.7 u P_i |w| + 9 u w^2.
-        Summed over variates with Cauchy-Schwarz, that is at most
-        18 u ||P|| sqrt(G) + 10 u G for a column sum G <= (sqrt(dense_max)
-        + 18 u ||P||)^2.  The last term, d 2^-140 (1 + sqrt G), covers
-        products that underflow.
+        Gaussian blocks start from the same prefix table.  By the proof of
+        ``cusum_error_bound``, both CUSUMs of variate i lie within
+        e_i = u (7.1 P_i + 4 |w_i|) of the exact w_i and of each other, and
+        squaring rounds once more, so the gains differ by at most
+        2 |w_i| e_i + 2 e_i^2 + u (|w_i| + e_i)^2 <= 14.3 u P_i |w_i|
+        + 9.1 u w_i^2 + 212 u^2 P_i^2.  Summed over variates with
+        Cauchy-Schwarz, that is at most 14.3 u ||P|| R + 9.1 u R^2 for any
+        R >= ||w|| + 14.9 u ||P||.  The float32 gains' column sum is at most
+        dense_max, so the float32 CUSUM's norm is at most (1 + d u)
+        sqrt(dense_max), and ||w|| exceeds it by at most 7.1 u ||P|| over
+        1 - 4u: R = (1 + (d + 5) u) sqrt(dense_max) + 22 u ||P|| qualifies.
+        The last term, d 2^-120 (1 + R), covers results that underflow,
+        whether rounded or flushed to zero.  The proof needs ||P|| <= 2^40.
         """
-        if self.n >= 2**24:
+        if self.n >= 2**24 or self.d >= 2**20:
             return np.full(len(l), np.inf)
         if self.kind == GAUSSIAN:
-            norm = math.sqrt(np.sum(np.max(np.abs(self.cum_y), axis=1) ** 2))
-            h = 18.0 * SCREEN_ROUNDOFF * norm
-            root = np.sqrt(dense_max) + h
-            bound = h * root + 10.0 * SCREEN_ROUNDOFF * root * root
-            bound += 2.0**-140 * self.d * (1.0 + root)
+            norm = math.sqrt(np.sum(self._peaks() ** 2))
+            h = SCREEN_ROUNDOFF * norm
+            root = (1.0 + (self.d + 5) * SCREEN_ROUNDOFF) * np.sqrt(dense_max) + 22.0 * h
+            bound = 14.3 * h * root + 9.1 * SCREEN_ROUNDOFF * root * root
+            bound += 2.0**-120 * self.d * (1.0 + root)
             return bound if norm <= 2.0**40 else np.full(len(l), np.inf)
         mass = self.cum_y[:, u] - self.cum_y[:, l - 1] + (u - l + 1) * self.scale[:, None]
         bound = 64.0 * SCREEN_ROUNDOFF * mass.sum(axis=0)
         normal = (self.scale.min() >= 2.0**-40) & (mass.max(axis=0) <= 2.0**40)
         return np.where(normal, bound, np.inf)
+
+    def cusum_error_bound(self) -> np.ndarray:
+        """Bound on |w32[i, t] - w64[i, t]| for each variate i, at every split
+        t of every interval, where w32 and w64 are ``cusum`` computed at
+        float32 and at float64; shape (d,).
+
+        It is infinite where the proof does not apply: n >= 2^24, where
+        split counts round in float32, or a prefix sum above 2^40.
+
+        Exact arithmetic on the prefix table C gives w = nu a, with
+        a = C[l - 1] (1 - s) + C[u] s - C[t], s = j / L and the split norm
+        nu = sqrt(L / (j (L - j))).  With P_i the largest |C| of variate i,
+        |a| <= 2 P_i, and nu <= sqrt(2) because j (L - j) >= L - 1, so
+        |w| <= 2 sqrt(2) P_i.  Each operation rounds once (|error| <= u
+        |result|; Higham 2002, ch. 3), and the computed nu is within 2u of
+        nu relative to it.
+        - float64: the whole and left sums are prefix differences, off by at
+          most 2u P_i each; scaled by s and subtracted, a is off by
+          u (6s + 2) P_i + u |a|, and w by u nu (6s + 2) P_i + 4u |w|, which
+          is below u (8 P_i + 4 |w|) since nu (6s + 2) = (6j + 2L) /
+          sqrt(j L (L - j)) < 8.
+        - float32: rounding C[l - 1], C[u] and the two weights moves the
+          product by at most 2u P_i, and the two-term inner product rounds
+          by at most gamma_2 P_i = 2u P_i in any order, with or without fused
+          multiply-add (Higham 2002, eq. 3.4); rounding C[t] and the
+          subtraction add u P_i + u |a|.  So w is off by at most
+          5u nu P_i + 4u |w| <= u (7.08 P_i + 4 |w|).
+        With u = ``SCREEN_ROUNDOFF``, which covers both unit roundoffs, the
+        two lie within u (7.1 P_i + 4 |w|) <= 18.42 u P_i of each other;
+        18.5 u P_i covers second-order terms and the float64 arithmetic of
+        bounds built on it.  The last term, 2^-120, covers results that
+        underflow, whether rounded or flushed to zero.
+        """
+        peak = self._peaks()
+        if self.n >= 2**24 or peak.max() > 2.0**40:
+            return np.full(self.d, np.inf)
+        return 18.5 * SCREEN_ROUNDOFF * peak + 2.0**-120
+
+    def _peaks(self) -> np.ndarray:
+        """Largest |prefix sum| of each variate, without an absolute copy of
+        the table."""
+        return np.maximum(self.cum_y.max(axis=1), -self.cum_y.min(axis=1))
 
     def boundary_cost_matrix(self, bounds: np.ndarray, j: int) -> np.ndarray:
         """Costs of every variate's spans that end at boundary ``bounds[j]``.
@@ -281,8 +349,9 @@ def gaussian_model(matrix: TimeSeriesMatrix, sigma=None) -> CostModel:
         if len(flat):
             names = [matrix.variate_names[i] for i in flat]
             raise NumericalError(
-                f"scale estimate is zero (series nearly constant) for variates {names}; "
-                "pass sigma explicitly"
+                f"scale estimate is zero for variates {names}: the median absolute "
+                "deviation of their first differences is 0 (the series is constant, or "
+                "more than half of its steps are equal); pass sigma explicitly"
             )
     else:
         sigma_arr = np.asarray(sigma, dtype=float)

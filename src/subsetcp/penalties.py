@@ -28,9 +28,10 @@ from .costs import (
 from .single_change import branch_sums, interval_sums
 
 # Prefix cells, d (n + 1) per replicate, of the null replicates sampled and
-# priced as one batch: 5 replicates at n = 1000, d = 12, and 1 when d (n + 1)
-# exceeds it.
-_BATCH_CELLS = 2**16
+# priced as one batch: 21 replicates at n = 1000, d = 12, and 1 when d (n + 1)
+# exceeds it.  With the screens' cells cheap, the number of blocks sets the
+# cost, and fewer, fuller batches make fewer blocks.
+_BATCH_CELLS = 2**18
 # Prefix cells in one block of equal-length intervals.
 _BLOCK_CELLS = 2**15
 
@@ -211,6 +212,20 @@ def _screen_error(model: CostModel, pairs, screened: np.ndarray, alpha: float) -
     ))
 
 
+def _leading(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Positions of the intervals that can hold their dataset's float64
+    maximum of some statistic.
+
+    ``low`` and ``high`` bound each interval's float64 maximum, one row per
+    interval and one column per statistic.  The interval holding a
+    statistic's maximum has a high bound at least every finite low bound;
+    intervals with a non-finite high bound are kept too.
+    """
+    finite = np.isfinite(high)
+    floor = np.where(finite, low, -np.inf).max(axis=0)
+    return np.flatnonzero(np.any(~finite | (high >= floor), axis=1))
+
+
 def _branch_maxima(models: list[CostModel], pairs, alpha: float) -> np.ndarray:
     """Largest sparse and dense ``branch_sums`` of each dataset over its
     ``pairs``, shape (len(models), 2), bit-identical to a float64 scan of
@@ -218,11 +233,9 @@ def _branch_maxima(models: list[CostModel], pairs, alpha: float) -> np.ndarray:
 
     Every interval is scanned in float32 first, in blocks of equal length
     (``_equal_length_blocks``), giving maxima m[k] within e[k]
-    (``_screen_error``) of the float64 ones.  The interval holding a
-    branch's float64 maximum then has m[k] + e[k] >= max_j (m[j] - e[j]);
-    only intervals passing that test for either branch, or with a
-    non-finite m[k] + e[k], are rescanned in float64 on their own dataset
-    by ``interval_sums``, the arithmetic of ``scan_interval``.
+    (``_screen_error``) of the float64 ones.  Only the intervals that
+    ``_leading`` keeps are rescanned in float64 on their own dataset by
+    ``interval_sums``, the arithmetic of ``scan_interval``.
     """
     screened = np.empty((sum(map(len, pairs)), 2))
     for block, slots in _equal_length_blocks(models, pairs):
@@ -232,9 +245,7 @@ def _branch_maxima(models: list[CostModel], pairs, alpha: float) -> np.ndarray:
     out = []
     for model, rep_pairs, rep_screened in zip(models, pairs, _split_by_replicate(screened, pairs)):
         error = _screen_error(model, rep_pairs, rep_screened, alpha)
-        finite = np.isfinite(rep_screened + error)
-        floor = np.where(finite, rep_screened - error, -np.inf).max(axis=0)
-        verify = np.flatnonzero(np.any(~finite | (rep_screened + error >= floor), axis=1))
+        verify = _leading(rep_screened - error, rep_screened + error)
         rescans = [
             interval_sums(model, l, u, alpha) for l, u in np.asarray(rep_pairs)[verify].tolist()
         ]
@@ -294,16 +305,87 @@ def calibrate_beta(
     )
 
 
+def _screened_aggregates(w: np.ndarray, method: str, n: int, widest: float) -> np.ndarray:
+    """Largest float32 ``baselines.baseline_statistic`` over the splits of
+    each interval of a block, ``w`` of shape (G, d, L - 1): two columns, to
+    bound the float64 maximum from below and from above.
+
+    Mean and max give the statistic twice.  Binweight gives the sums above
+    the cut-off moved up and down by ``widest``, the largest entry error
+    bound, and rounded outward to float32: every entry that can lie above
+    the cut-off in float64 is in the second sum, and every entry of the
+    first sum lies above it.
+    """
+    if method != baselines.METHOD_BINWEIGHT:
+        top = baselines.baseline_statistic(w, method, n).max(axis=-1)
+        return np.column_stack((top, top))
+    cut = math.sqrt(2.0 * math.log(n))
+    above = np.nextafter(np.float32(cut + widest), np.float32(np.inf))
+    below = np.nextafter(np.float32(cut - widest), np.float32(-np.inf))
+    return np.column_stack([
+        np.add.reduce(w, axis=-2, where=w > x).max(axis=-1) for x in (above, below)
+    ])
+
+
+def _aggregate_bounds(screened: np.ndarray, method: str, reach: np.ndarray):
+    """Bounds (low, high) on the float64 maxima of intervals of one dataset,
+    from their ``_screened_aggregates`` and the dataset's per-variate
+    ``CostModel.cusum_error_bound`` ``reach``.
+
+    Entry by entry, float32 and float64 |CUSUM| differ by at most reach_i.
+    So in exact arithmetic a float32 aggregate and the float64 one differ by
+    at most R: the mean of reach for mean, its largest entry for max, and
+    its sum for binweight, where each of the two screened sums bounds the
+    float64 sum on its own side.  Summing d non-negative terms in any
+    order, and dividing by d, moves an aggregate by at most
+    gamma = (d + 1) u / (1 - (d + 1) u) relative, in either precision, with
+    u = ``SCREEN_ROUNDOFF``.  So a screened maximum M bounds the float64 one
+    by (M / (1 + gamma) - R)(1 - gamma) from below and by
+    (M / (1 - gamma) + R)(1 + gamma) from above.
+    """
+    total = {
+        baselines.METHOD_MEAN: reach.mean(),
+        baselines.METHOD_MAX: reach.max(),
+        baselines.METHOD_BINWEIGHT: reach.sum(),
+    }[method]
+    terms = (len(reach) + 1) * SCREEN_ROUNDOFF
+    gamma = terms / (1.0 - terms)
+    low, high = screened.T
+    return (
+        (low / (1.0 + gamma) - total) * (1.0 - gamma),
+        (high / (1.0 - gamma) + total) * (1.0 + gamma),
+    )
+
+
 def _aggregated_maxima(models: list[CostModel], pairs, method: str) -> list[float]:
     """Largest ``baselines.baseline_statistic`` of each dataset over its
-    ``pairs``, every interval priced in a block of equal length
-    (``_equal_length_blocks``).  The binweight cut-off takes the datasets'
-    n, not a block's."""
-    stats = np.empty(sum(map(len, pairs)))
+    ``pairs``, bit-identical to a float64 scan of every interval.  The
+    binweight cut-off takes the datasets' n, not a block's.
+
+    Every interval is screened in float32, in blocks of equal length
+    (``_equal_length_blocks``), giving bounds on its float64 maximum
+    (``_aggregate_bounds``).  Only the intervals that ``_leading`` keeps
+    are rescanned in float64 on their own dataset.
+    """
+    n = models[0].n
+    reach = [model.cusum_error_bound() for model in models]
+    widest = max(float(r.max()) for r in reach)
+    screened = np.empty((sum(map(len, pairs)), 2))
     for block, slots in _equal_length_blocks(models, pairs):
-        w = baselines.cusum_matrix(block, 1, block.n).reshape(len(slots), -1, block.n - 1)
-        stats[slots] = baselines.baseline_statistic(w, method, models[0].n).max(axis=-1)
-    return [part.max() for part in _split_by_replicate(stats, pairs)]
+        w = baselines.cusum_matrix(block, 1, block.n, np.float32)
+        w = w.reshape(len(slots), -1, block.n - 1)
+        screened[slots] = _screened_aggregates(w, method, n, widest)
+    out = []
+    for model, rep_pairs, rep_screened, rep_reach in zip(
+        models, pairs, _split_by_replicate(screened, pairs), reach
+    ):
+        low, high = _aggregate_bounds(rep_screened, method, rep_reach)
+        verify = _leading(low[:, None], high[:, None])
+        out.append(max(
+            baselines.baseline_statistic(baselines.cusum_matrix(model, l, u), method, n).max()
+            for l, u in np.asarray(rep_pairs)[verify].tolist()
+        ))
+    return out
 
 
 def calibrate_baseline_threshold(
@@ -319,7 +401,10 @@ def calibrate_baseline_threshold(
     """Null quantile threshold for a CUSUM aggregation baseline.
 
     Returns the (1 - target_fp) quantile over null datasets of the largest
-    ``baselines.baseline_statistic`` across intervals and splits.
+    ``baselines.baseline_statistic`` across intervals and splits.  A
+    replicate's maximum comes from a float32 screen of every interval and a
+    float64 rescan of the leading ones (``_aggregated_maxima``), and equals
+    that of a float64 scan of every interval.
     """
     if null.kind != GAUSSIAN:
         raise InputDataError("baseline calibration is defined for the Gaussian model only")

@@ -101,11 +101,19 @@ def cusum(y, l: int, u: int, t: int, sigma: float = 1.0) -> float:
 
 def one_pass_cusum(model, l: int, u: int, dtype=np.float64) -> np.ndarray:
     """``CostModel.cusum`` computed for every row at once: the same
-    arithmetic on each row, with whole-block temporaries."""
-    base = model.cum_y[:, l - 1 : l]
-    sum_left = np.subtract(model.cum_y[:, l:u], base, out=np.empty((model.d, u - l), dtype))
+    arithmetic on each row, with whole-block temporaries.  float64 scales
+    prefix differences; float32 takes the rank-2 product
+    [C[l - 1], C[u]] . [1 - j / L; j / L] minus C[t] on the rounded table."""
     length = u - l + 1
     len_left = np.arange(1, length, dtype=dtype)
+    if dtype == np.float32:
+        table = model.cum_y.astype(dtype)
+        w = table[:, [l - 1, u]] @ np.stack(((length - len_left) / length, len_left / length))
+        w -= table[:, l:u]
+        w *= np.sqrt(length / (len_left * (length - len_left)))
+        return w
+    base = model.cum_y[:, l - 1 : l]
+    sum_left = np.subtract(model.cum_y[:, l:u], base, out=np.empty((model.d, u - l), dtype))
     w = (model.cum_y[:, u : u + 1] - base).astype(dtype, copy=False) * (len_left / length)
     w -= sum_left
     w *= np.sqrt(length / (len_left * (length - len_left)))

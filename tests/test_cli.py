@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import subsetcp
-from subsetcp import RandomSource, generate, scenario, theoretical_penalties
+from subsetcp import RandomSource, draw_intervals, generate, scenario, theoretical_penalties
 from subsetcp.cli import build_parser, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -348,6 +348,13 @@ def test_constant_gaussian_series_fails_numerically(tmp_path, capsys):
     # known sigma moves the failure to the residual diagnostic, same exit code
     assert main([*base, "--sigma", "1.0"]) == 2
     assert "zero-variance residual" in capsys.readouterr().err
+    # Not constant, yet its steps 2, 2, -3 have a median absolute deviation
+    # of 0: the message names that cause.
+    path.write_text("time,a,b\n1,1,0.5\n2,3,-1.2\n3,5,0.3\n4,2,2.0\n")
+    assert main(base) == 2
+    err = capsys.readouterr().err
+    assert "scale estimate is zero" in err and "pass sigma explicitly" in err
+    assert "variates ['a']: the median absolute deviation of their first differences is 0" in err
 
 
 def _detect_peak_in_panels(tmp_path, capsys, values, fmt, options):
@@ -644,6 +651,50 @@ def test_benchmark_tracer_sites_resolve(monkeypatch):
     for name, workload in workloads.WORKLOADS.items():
         unrecorded = sorted(set(workload.expected_spans) - recorded)
         assert not unrecorded, f"{name} expects spans no site records: {unrecorded}"
+
+
+def test_benchmark_trace_counts_every_baseline_calibration_cell(monkeypatch, tmp_path):
+    # perfbench reads the baseline calibration's work as the cells of the
+    # traced baselines.cusum_matrix: a screen that moved off that name would
+    # read as less work in the per-layer report, not fail.  Every split
+    # interval of every calibration replicate is screened through it once,
+    # and the float64 rescans add to that.
+    monkeypatch.syspath_prepend(str(PYPROJECT.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    n, d, intervals, calib_reps, seed = 150, 12, 20, 20, 3
+    args = [
+        "benchmark", "--scenario", "Bprime", "--n", str(n), "--d", str(d),
+        "--intervals", str(intervals), "--reps", "1", "--calib-reps", str(calib_reps),
+        "--seed", str(seed), "--methods", "subset,max", "--output", str(tmp_path / "t.tsv"),
+    ]
+    tracer = tracing.Tracer()
+    assert tracer.run_job(0, main, args) == 0
+    # The baseline is method 1; its calibration draws replicate rep's
+    # intervals from stream (rep, 1) of the method's stream 0.
+    calibration = RandomSource(seed).child(1).child(0)
+    expected = sum(
+        d * (u - l)
+        for rep in range(calib_reps)
+        for l, u in draw_intervals(n, intervals, calibration.child(rep, 1)).pairs
+        if u - l > 1
+    )
+    spans = tracer.arrays()
+    names = spans["names"][spans["name"]].tolist()
+    parents = spans["parent"].tolist()
+
+    def in_calibration(k):
+        while k >= 0:
+            if names[k] == "penalties.calibrate_baseline_threshold":
+                return True
+            k = parents[k]
+        return False
+
+    cells = sum(
+        int(work)
+        for k, (name, work) in enumerate(zip(names, spans["work"]))
+        if name == "baselines.cusum_matrix" and in_calibration(k)
+    )
+    assert cells >= expected > 0
 
 
 def test_package_has_no_function_local_imports():

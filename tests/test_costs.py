@@ -345,6 +345,21 @@ def test_negbin_gain_kernel_holds_about_one_panel():
     assert peak / (8 * 1000 * 1000) < 2.0
 
 
+def test_float32_gaussian_screen_kernel_holds_under_one_panel():
+    # The float32 (d, n - 1) output is half a panel; the rank-2 product and
+    # its temporaries are one block of rows.  Without row blocks the same
+    # call took about a whole panel.
+    matrix = make_matrix(np.random.default_rng(79).standard_normal((1000, 1000)))
+    model = gaussian_model(matrix, sigma=1.0)
+    tracemalloc.start()
+    try:
+        model.gain_matrix(1, 1000, np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 1000 * 1000) < 0.75
+
+
 def test_model_builders_validate_inputs():
     counts = make_matrix([[0, 1, 2, 1]])
     with pytest.raises(InputDataError, match="Gaussian"):

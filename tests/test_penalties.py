@@ -41,11 +41,13 @@ from subsetcp import (
 )
 from subsetcp import baselines, costs, penalties
 from subsetcp.penalties import (
+    _aggregate_bounds,
     _aggregated_maxima,
     _branch_maxima,
     _minimal_quiet_beta,
     _null_maxima,
     _screen_error,
+    _screened_aggregates,
 )
 from subsetcp.single_change import branch_sums
 
@@ -187,9 +189,9 @@ def test_calibration_prices_every_split_interval_once_per_replicate(monkeypatch)
     # perfbench counts calibration's gain and |CUSUM| cells by wrapping the
     # class attribute CostModel.gain_matrix and baselines.cusum_matrix, so
     # every interval with a split must be priced through them: once per
-    # replicate in a block of equal-length windows (float32 for the beta
-    # screen), then, for beta, rescanned in float64 on row slices of the
-    # replicate's own model only where the screen cannot decide.
+    # replicate in a float32 block of equal-length windows, then rescanned
+    # in float64 on the replicate's own model (on row slices of it, for
+    # beta) only where the screen cannot decide.
     models, gain_calls, cusum_calls = [], [], []
     sample, gain, cusum = NullModel.sample_model, CostModel.gain_matrix, baselines.cusum_matrix
 
@@ -201,9 +203,9 @@ def test_calibration_prices_every_split_interval_once_per_replicate(monkeypatch)
         gain_calls.append((model, l, u, np.dtype(dtype)))
         return gain(model, l, u, dtype)
 
-    def counting_cusum(model, l, u):
-        cusum_calls.append((model, l, u))
-        return cusum(model, l, u)
+    def counting_cusum(model, l, u, dtype=np.float64):
+        cusum_calls.append((model, l, u, np.dtype(dtype)))
+        return cusum(model, l, u, dtype)
 
     monkeypatch.setattr(NullModel, "sample_model", sampling)
     monkeypatch.setattr(CostModel, "gain_matrix", counting_gain)
@@ -238,10 +240,19 @@ def test_calibration_prices_every_split_interval_once_per_replicate(monkeypatch)
     calibrate_baseline_threshold(n, d, "max", NullModel(kind=GAUSSIAN), src, target_fp=0.1,
                                  reps=reps, intervals=intervals)
     assert len(models) == reps
-    assert sum(block.d * (u - l) for block, l, u in cusum_calls) == cells
-    covered = [w for call in cusum_calls for w in _block_windows(models, *call)]
+    screens = [(m, l, u) for m, l, u, dtype in cusum_calls if dtype == np.float32]
+    assert sum(block.d * (u - l) for block, l, u in screens) == cells
+    covered = [w for call in screens for w in _block_windows(models, *call)]
     assert Counter(covered) == Counter(expected)
-    assert len(cusum_calls) < len(expected)
+    assert len(screens) < len(expected)
+    rescans = [
+        (next(rep for rep, own in enumerate(models) if m is own), l, u)
+        for m, l, u, dtype in cusum_calls
+        if dtype == np.float64
+    ]
+    assert set(rescans) <= set(expected)
+    assert {rep for rep, _, _ in rescans} == set(range(reps))
+    assert len(rescans) < len(expected)
 
 
 def test_calibrated_threshold_hits_target_on_fresh_nulls():
@@ -436,6 +447,65 @@ def test_float32_branch_values_lie_within_the_screen_bound(data):
         assert sparse32.dtype == dense32.dtype == np.float32
         assert np.all(np.abs(sparse32.astype(float) - sparse64) <= error[k, 0])
         assert np.all(np.abs(dense32.astype(float) - dense64) <= error[k, 1])
+
+
+@st.composite
+def _cut_off_datasets(draw):
+    """A Gaussian cost model and its interval set, as a baseline calibration
+    replicate sees them: series offset by 1e8 with estimated scales, and
+    tables with one interval whose |CUSUM| sits within a few float32
+    rounding errors of the binweight cut-off sqrt(2 ln n) at every split,
+    on prefix sums up to 1e6, so that rounding can carry entries across."""
+    n = draw(st.one_of(st.integers(3, 60), st.sampled_from([500, 3000])))
+    d = draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from([0.0, 1e8]))
+    values = offset + g.standard_normal((d, n)) * g.uniform(0.5, 3.0, (d, 1))
+    if draw(st.booleans()):
+        values[:, n // 2 :] += draw(st.sampled_from([0.5, 3.0]))
+    estimated = offset > 0 or draw(st.booleans())
+    model = gaussian_model(make_matrix(values), sigma=None if estimated else 1.0)
+    intervals = draw(st.sampled_from([0, 5, 40]))
+    pairs = draw_intervals(n, intervals, RandomSource(draw(st.integers(0, 1000)))).pairs
+    pairs = [(l, u) for l, u in pairs if u - l > 1]
+    if draw(st.integers(0, 3)):
+        # The CUSUM at split j of (l, u) is nu_j times
+        # C[l - 1] (1 - s) + C[u] s - C[l - 1 + j], with s = j / L.
+        l = draw(st.integers(1, n - 2))
+        u = draw(st.integers(l + 2, min(n, l + draw(st.sampled_from([2, 6, 60, 600])))))
+        length = u - l + 1
+        j = np.arange(1, length)
+        share, norm = j / length, np.sqrt(length / (j * (length - j)))
+        peak = draw(st.sampled_from([1.0, 1e3, 1e6]))
+        cum_y = model.cum_y.copy()
+        cum_y[:, [l - 1, u]] = g.choice([-peak, peak], size=(d, 2)) * g.uniform(0.5, 1.0, (d, 2))
+        error = g.uniform(-2.0, 2.0, (d, length - 1)) * 2.0**-24 * peak
+        near = math.sqrt(2.0 * math.log(n)) + error
+        sign = g.choice([-1.0, 1.0], size=(d, length - 1))
+        cum_y[:, l:u] = (
+            cum_y[:, l - 1 : l] * (1.0 - share) + cum_y[:, u : u + 1] * share - sign * near / norm
+        )
+        model = CostModel(GAUSSIAN, model.scale, cum_y)
+        pairs.append((l, u))
+    return model, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_cut_off_datasets(), method=st.sampled_from(BASELINE_METHODS))
+def test_float32_aggregates_lie_within_the_screen_bound(data, method):
+    # Each split is screened as a block member of its own, so the bounds on
+    # a member's maximum bound that split's float64 statistic.
+    model, pairs = data
+    reach = model.cusum_error_bound()
+    for l, u in pairs:
+        wide = baselines.cusum_matrix(model, l, u)
+        narrow = baselines.cusum_matrix(model, l, u, np.float32)
+        assert narrow.dtype == np.float32
+        assert np.all(np.abs(narrow.astype(float) - wide) <= reach[:, None])
+        exact = baselines.baseline_statistic(wide, method, model.n)
+        screened = _screened_aggregates(narrow.T[:, :, None], method, model.n, reach.max())
+        low, high = _aggregate_bounds(screened, method, reach)
+        assert np.all(low <= exact) and np.all(exact <= high)
 
 
 @settings(max_examples=25, deadline=None)

@@ -325,3 +325,45 @@ def test_detector_matches_the_whole_detector_oracle():
 
     check()
     assert draws["near_tie"] < 0.1 * draws["all"]
+
+
+def test_reversing_time_mirrors_the_detections():
+    # Reversing time maps the split after t to the split after n - t, and
+    # interval (l, u) to (n + 1 - u, n + 1 - l).  With every stored interval
+    # mirrored, each detection must move from tau to n - tau with the same
+    # kind, affected set and statistic, on both models.  Draws in which a
+    # comparison of the oracle, on either series, lies within 1e-9 relative
+    # are discarded, as in the whole-detector oracle test: the tie rules
+    # (smallest split, first stored interval) do not commute with reversal.
+    draws = {"all": 0, "near_tie": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_detector_cases())
+    def check(case):
+        kind, y, sigma, pairs, pen, _ = case
+        n = y.shape[1]
+        draws["all"] += 1
+        forward = IntervalSet(n, ((1, n), *pairs))
+        backward = IntervalSet(n, tuple((n + 1 - u, n + 1 - l) for l, u in forward.pairs))
+        ties = oracles.TieLog(1e-9)
+        found = []
+        for series, iv in ((y, forward), (y[:, ::-1], backward)):
+            oracles.subset_wbs(series, iv, pen, _oracle_params(kind, series, sigma), ties)
+            matrix = make_matrix(series)
+            model = gaussian_model(matrix, sigma) if kind == GAUSSIAN else negbin_model(matrix)
+            found.append(postprocess(model, subset_wbs(model, pen, iv)).detections)
+        draws["near_tie"] += bool(ties.ties)
+        assume(not ties.ties)
+        ahead, behind = found
+        mirrored = {}
+        for det in behind:
+            l, u = det.interval
+            mirrored[n - det.tau] = (det.kind, det.affected, (n + 1 - u, n + 1 - l), det.statistic)
+        assert sorted(mirrored) == sorted(det.tau for det in ahead)
+        for det in ahead:
+            kind, affected, interval, statistic = mirrored[det.tau]
+            assert (det.kind, det.affected, det.interval) == (kind, affected, interval)
+            assert abs(statistic - det.statistic) <= 1e-9 * (1.0 + abs(det.statistic))
+
+    check()
+    assert draws["near_tie"] < 0.1 * draws["all"]
