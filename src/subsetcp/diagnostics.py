@@ -57,6 +57,8 @@ def pearson_residual_correlations(
     with the off-diagonal mean of ``np.corrcoef(residuals)`` to about
     1e-15 (tested to 1e-12 absolute), not bit for bit: the sums run in
     another order, and only the mean is clipped to [-1, 1], not each entry.
+    Both sums are numpy's own reductions, not BLAS ``ddot``, whose order
+    depends on the BLAS kernel.
     A residual row whose centred sum of squares is 0 has zero variance and
     raises :class:`NumericalError` naming its variate.
     """
@@ -72,5 +74,5 @@ def pearson_residual_correlations(
         return 0.0
     x /= np.sqrt(sq_norms)[:, None]
     total = x.sum(axis=0)
-    off_diagonal = np.dot(total, total) - np.vdot(x, x)
+    off_diagonal = np.einsum("i,i->", total, total) - np.einsum("ij,ij->", x, x)
     return float(np.clip(off_diagonal / (d * (d - 1)), -1.0, 1.0))

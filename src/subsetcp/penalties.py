@@ -187,9 +187,32 @@ def _equal_length_blocks(models: list[CostModel], pairs):
             yield CostModel(kind, scale, cum_y), slots
 
 
-def _split_by_replicate(values: np.ndarray, pairs) -> list[np.ndarray]:
-    """``values`` of the batch's intervals in flat order, one part per replicate."""
-    return np.split(values, np.cumsum([len(rep_pairs) for rep_pairs in pairs])[:-1])
+def _screened_maxima(models: list[CostModel], pairs, screen, bounds, rescan) -> np.ndarray:
+    """Largest float64 values of a statistic on each dataset over its
+    ``pairs``, one row per dataset, bit-identical to a float64 scan of every
+    interval.
+
+    ``screen(block, G)`` prices a block of ``_equal_length_blocks`` in
+    float32 and gives two values for each of its G windows.
+    ``bounds(rep, screened)`` turns dataset ``rep``'s rows into (low, high)
+    bounds on its float64 maxima, one row per interval and one column per
+    maximum.  The interval holding a maximum has a high bound at least every
+    finite low bound, so only such intervals, and those with a non-finite
+    high bound, are rescanned in float64 by ``rescan(model, l, u)``.
+    """
+    screened = np.empty((sum(map(len, pairs)), 2))
+    for block, slots in _equal_length_blocks(models, pairs):
+        screened[slots] = screen(block, len(slots))
+    parts = np.split(screened, np.cumsum([len(rep_pairs) for rep_pairs in pairs])[:-1])
+    out = []
+    for rep, (model, rep_pairs) in enumerate(zip(models, pairs)):
+        low, high = bounds(rep, parts[rep])
+        finite = np.isfinite(high)
+        floor = np.where(finite, low, -np.inf).max(axis=0)
+        leading = np.any(~finite | (high >= floor), axis=1)
+        rescans = [rescan(model, l, u) for l, u in np.asarray(rep_pairs)[leading].tolist()]
+        out.append(np.max(rescans, axis=0))
+    return np.array(out)
 
 
 def _screen_error(model: CostModel, pairs, screened: np.ndarray, alpha: float) -> np.ndarray:
@@ -212,45 +235,26 @@ def _screen_error(model: CostModel, pairs, screened: np.ndarray, alpha: float) -
     ))
 
 
-def _leading(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Positions of the intervals that can hold their dataset's float64
-    maximum of some statistic.
-
-    ``low`` and ``high`` bound each interval's float64 maximum, one row per
-    interval and one column per statistic.  The interval holding a
-    statistic's maximum has a high bound at least every finite low bound;
-    intervals with a non-finite high bound are kept too.
-    """
-    finite = np.isfinite(high)
-    floor = np.where(finite, low, -np.inf).max(axis=0)
-    return np.flatnonzero(np.any(~finite | (high >= floor), axis=1))
-
-
 def _branch_maxima(models: list[CostModel], pairs, alpha: float) -> np.ndarray:
     """Largest sparse and dense ``branch_sums`` of each dataset over its
-    ``pairs``, shape (len(models), 2), bit-identical to a float64 scan of
-    every interval.
-
-    Every interval is scanned in float32 first, in blocks of equal length
-    (``_equal_length_blocks``), giving maxima m[k] within e[k]
-    (``_screen_error``) of the float64 ones.  Only the intervals that
-    ``_leading`` keeps are rescanned in float64 on their own dataset by
+    ``pairs``, shape (len(models), 2), by ``_screened_maxima``: float32
+    maxima within ``_screen_error`` of the float64 ones, and rescans by
     ``interval_sums``, the arithmetic of ``scan_interval``.
     """
-    screened = np.empty((sum(map(len, pairs)), 2))
-    for block, slots in _equal_length_blocks(models, pairs):
+
+    def screen(block, size):
         gains = block.gain_matrix(1, block.n, np.float32)
-        sums = branch_sums(gains.reshape(len(slots), -1, block.n - 1), alpha)
-        screened[slots] = np.column_stack([s.max(axis=-1) for s in sums])
-    out = []
-    for model, rep_pairs, rep_screened in zip(models, pairs, _split_by_replicate(screened, pairs)):
-        error = _screen_error(model, rep_pairs, rep_screened, alpha)
-        verify = _leading(rep_screened - error, rep_screened + error)
-        rescans = [
-            interval_sums(model, l, u, alpha) for l, u in np.asarray(rep_pairs)[verify].tolist()
-        ]
-        out.append(np.max([(sparse.max(), dense.max()) for sparse, dense in rescans], axis=0))
-    return np.array(out)
+        sums = branch_sums(gains.reshape(size, -1, block.n - 1), alpha)
+        return np.column_stack([s.max(axis=-1) for s in sums])
+
+    def bounds(rep, screened):
+        error = _screen_error(models[rep], pairs[rep], screened, alpha)
+        return screened - error, screened + error
+
+    def rescan(model, l, u):
+        return [s.max() for s in interval_sums(model, l, u, alpha)]
+
+    return _screened_maxima(models, pairs, screen, bounds, rescan)
 
 
 def _minimal_quiet_beta(sparse_max, dense_max, d: int):
@@ -357,35 +361,28 @@ def _aggregate_bounds(screened: np.ndarray, method: str, reach: np.ndarray):
     )
 
 
-def _aggregated_maxima(models: list[CostModel], pairs, method: str) -> list[float]:
+def _aggregated_maxima(models: list[CostModel], pairs, method: str) -> np.ndarray:
     """Largest ``baselines.baseline_statistic`` of each dataset over its
-    ``pairs``, bit-identical to a float64 scan of every interval.  The
-    binweight cut-off takes the datasets' n, not a block's.
-
-    Every interval is screened in float32, in blocks of equal length
-    (``_equal_length_blocks``), giving bounds on its float64 maximum
-    (``_aggregate_bounds``).  Only the intervals that ``_leading`` keeps
-    are rescanned in float64 on their own dataset.
+    ``pairs``, shape (len(models),), by ``_screened_maxima``: float32
+    ``_screened_aggregates`` bounded by ``_aggregate_bounds``, and float64
+    rescans.  The binweight cut-off takes the datasets' n, not a block's.
     """
     n = models[0].n
     reach = [model.cusum_error_bound() for model in models]
     widest = max(float(r.max()) for r in reach)
-    screened = np.empty((sum(map(len, pairs)), 2))
-    for block, slots in _equal_length_blocks(models, pairs):
+
+    def screen(block, size):
         w = baselines.cusum_matrix(block, 1, block.n, np.float32)
-        w = w.reshape(len(slots), -1, block.n - 1)
-        screened[slots] = _screened_aggregates(w, method, n, widest)
-    out = []
-    for model, rep_pairs, rep_screened, rep_reach in zip(
-        models, pairs, _split_by_replicate(screened, pairs), reach
-    ):
-        low, high = _aggregate_bounds(rep_screened, method, rep_reach)
-        verify = _leading(low[:, None], high[:, None])
-        out.append(max(
-            baselines.baseline_statistic(baselines.cusum_matrix(model, l, u), method, n).max()
-            for l, u in np.asarray(rep_pairs)[verify].tolist()
-        ))
-    return out
+        return _screened_aggregates(w.reshape(size, -1, block.n - 1), method, n, widest)
+
+    def bounds(rep, screened):
+        low, high = _aggregate_bounds(screened, method, reach[rep])
+        return low[:, None], high[:, None]
+
+    def rescan(model, l, u):
+        return baselines.baseline_statistic(baselines.cusum_matrix(model, l, u), method, n).max()
+
+    return _screened_maxima(models, pairs, screen, bounds, rescan)
 
 
 def calibrate_baseline_threshold(

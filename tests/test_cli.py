@@ -135,14 +135,14 @@ def test_detect_output_is_pinned(tmp_path, capsys, model):
         ]
         want = _pinned_report(
             100, 4, "gaussian", 2.772588722239781, 18.146885545115083, 34.19574791302853,
-            3, 40, 50, ["a", "b"], 71.63755579566947, 0.004054667271816322,
+            3, 40, 50, ["a", "b"], 71.63755579566947, 0.004054667271816396,
         )
         pairs = "tau,variate\n50,a\n50,b\n"
     else:
         args = _detect_args(_count_csv(tmp_path), out)
         want = _pinned_report(
             80, 2, "negbin", 1.3862943611198906, 13.2122005698833, 22.48191874045451,
-            11, 60, 40, ["a"], 35.18983075729375, -0.11283750757753963,
+            11, 60, 40, ["a"], 35.18983075729375, -0.11283750757754007,
         )
         pairs = "tau,variate\n40,a\n"
     assert main(args) == 0
@@ -713,6 +713,80 @@ def test_package_has_no_function_local_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert not local, f"imports inside function bodies: {sorted(local)}"
+
+
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
+
+
+def _blas_entries(node, path, scope=""):
+    """``file:scope:entry`` for each BLAS entry under ``node``: the numpy
+    functions and methods named in ``_BLAS_NAMES``, the ``@`` operator, and
+    ``einsum`` with ``optimize``, which may hand its product to BLAS."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        entry = None
+        if isinstance(child, ast.Attribute) and child.attr in _BLAS_NAMES:
+            entry = ast.unparse(child)
+        elif isinstance(child, ast.ImportFrom) and (child.module or "").startswith("numpy"):
+            names = {alias.name for alias in child.names}
+            if "linalg" in child.module or names & _BLAS_NAMES:
+                entry = ast.unparse(child)
+        elif isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+            entry = "@"
+        elif isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "einsum":
+            if any(keyword.arg == "optimize" for keyword in child.keywords):
+                entry = "einsum(optimize=...)"
+        if entry:
+            yield f"{path.name}:{scope}:{entry}"
+        yield from _blas_entries(child, path, inner)
+
+
+def test_package_reaches_blas_only_through_the_float32_screen():
+    # OpenBLAS picks its kernel when it loads, and the kernels sum in
+    # different orders, so a float64 value that passed through BLAS can move
+    # in its last bits from one machine to another, and a pin with it.  The
+    # float32 CUSUM screen may: its error bound holds in any summation order,
+    # and calibration rescans the intervals it keeps in float64 without BLAS.
+    sources = sorted((PYPROJECT.parent / "src" / "subsetcp").glob("*.py"))
+    assert sources
+    found = [
+        entry
+        for path in sources
+        for entry in _blas_entries(ast.parse(path.read_text(), filename=str(path)), path)
+    ]
+    assert found == ["costs.py:CostModel.cusum:np.matmul"]
+
+
+def _dynamic_arch_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(),
+    reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH: no other kernel to pick",
+)
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_pins_hold_on_other_blas_kernels(core):
+    # OpenBLAS reads OPENBLAS_CORETYPE once, when it loads, so the detect and
+    # calibrate pins of both models rerun in a process of their own, against
+    # the same expected outputs.
+    here = Path(__file__).resolve()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{here}::test_detect_output_is_pinned", f"{here}::test_calibrate_output_is_pinned",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        cwd=PYPROJECT.parent,
+        env={**os.environ, "OPENBLAS_CORETYPE": core},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "4 passed" in proc.stdout
 
 
 def _load_toml(path):

@@ -382,12 +382,16 @@ def _screened_datasets(draw):
     replicate sees them, with the inputs that stress a float32 screen:
     count totals above 2^24, extreme dispersions, all-zero count variates,
     Gaussian series offset by 1e8 with estimated scales, the full interval
-    alone (intervals = 0) and intervals thousands of points long."""
-    n = draw(st.one_of(st.integers(3, 60), st.sampled_from([500, 3000])))
+    alone (intervals = 0) and intervals thousands of points long.  Some
+    screen bounds are infinite, and every such interval must be rescanned:
+    counts around 1e10, whose long intervals sum past 2^40, and a known
+    sigma of 1e-12, whose scaled prefix sums pass 2^40 and make every bound
+    infinite."""
+    n = draw(st.one_of(st.integers(3, 60), st.sampled_from([200, 500, 3000])))
     d = draw(st.integers(2, 6))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        scale = np.array([draw(st.sampled_from([1.0, 1e3, 1e6])) for _ in range(d)])
+        scale = np.array([draw(st.sampled_from([1.0, 1e3, 1e6, 1e10])) for _ in range(d)])
         values = np.floor(g.exponential(scale[:, None], (d, n)))
         for i in draw(st.sets(st.integers(0, d - 1), max_size=d - 1)):
             values[i] = 0.0
@@ -400,7 +404,8 @@ def _screened_datasets(draw):
         if draw(st.booleans()):
             values[:, n // 2 :] += draw(st.sampled_from([0.5, 3.0]))
         estimated = offset > 0 or draw(st.booleans())
-        model = gaussian_model(make_matrix(values), sigma=None if estimated else 1.0)
+        sigma = None if estimated else draw(st.sampled_from([1.0, 1e-12]))
+        model = gaussian_model(make_matrix(values), sigma=sigma)
     intervals = draw(st.sampled_from([0, 1, 5, 40]))
     pairs = draw_intervals(n, intervals, RandomSource(draw(st.integers(0, 1000)))).pairs
     return model, [(l, u) for l, u in pairs if u - l > 1], 2.0 * math.log(d)
@@ -452,10 +457,12 @@ def test_float32_branch_values_lie_within_the_screen_bound(data):
 @st.composite
 def _cut_off_datasets(draw):
     """A Gaussian cost model and its interval set, as a baseline calibration
-    replicate sees them: series offset by 1e8 with estimated scales, and
-    tables with one interval whose |CUSUM| sits within a few float32
-    rounding errors of the binweight cut-off sqrt(2 ln n) at every split,
-    on prefix sums up to 1e6, so that rounding can carry entries across."""
+    replicate sees them: series offset by 1e8 with estimated scales, a known
+    sigma of 1e-12, whose scaled prefix sums pass 2^40 and make every bound
+    infinite, and tables with one interval whose |CUSUM| sits within a few
+    float32 rounding errors of the binweight cut-off sqrt(2 ln n) at every
+    split, on prefix sums up to 1e6, so that rounding can carry entries
+    across."""
     n = draw(st.one_of(st.integers(3, 60), st.sampled_from([500, 3000])))
     d = draw(st.integers(1, 6))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -464,7 +471,8 @@ def _cut_off_datasets(draw):
     if draw(st.booleans()):
         values[:, n // 2 :] += draw(st.sampled_from([0.5, 3.0]))
     estimated = offset > 0 or draw(st.booleans())
-    model = gaussian_model(make_matrix(values), sigma=None if estimated else 1.0)
+    sigma = None if estimated else draw(st.sampled_from([1.0, 1e-12]))
+    model = gaussian_model(make_matrix(values), sigma=sigma)
     intervals = draw(st.sampled_from([0, 5, 40]))
     pairs = draw_intervals(n, intervals, RandomSource(draw(st.integers(0, 1000)))).pairs
     pairs = [(l, u) for l, u in pairs if u - l > 1]
