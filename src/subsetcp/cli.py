@@ -91,6 +91,10 @@ def cmd_detect(args) -> int:
         _maybe_warn_counts(matrix)
         model = gaussian_model(matrix, sigma=_parse_sigma(args.sigma, matrix.d))
         null = NullModel(kind=GAUSSIAN, estimate_scale=args.sigma is None)
+    elif args.sigma is not None:
+        raise InputDataError(
+            "--sigma is Gaussian only; the count model estimates each variate's dispersion"
+        )
     else:
         model = negbin_model(matrix)
         null = NullModel(kind=NEGBIN)
@@ -236,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--calib-reps", type=int, default=200)
     detect.add_argument("--intervals", type=int, default=1000)
     detect.add_argument("--seed", type=int, default=0)
-    detect.add_argument("--sigma", default=None, help="known scale, scalar or comma list")
+    detect.add_argument(
+        "--sigma", help="Gaussian only: scale, scalar or comma list; negbin estimates dispersion"
+    )
     detect.add_argument("--output", required=True)
     detect.add_argument("--no-postprocess", action="store_true")
     detect.set_defaults(func=cmd_detect)

@@ -1,10 +1,10 @@
 """Wild binary segmentation: random intervals plus recursive scanning.
 
 A fixed set of random intervals is drawn once and reused at every recursion
-level.  Each interval's best split is found once per run and reused at every
-level (Fryzlewicz 2014): an active segment picks, among itself and the stored
-intervals it contains, the candidate with the largest statistic, and is
-split around it.
+level (Fryzlewicz 2014).  All of them lie inside (1, n), so one pass before
+the recursion prices each stored interval's best split; an active segment
+then picks, among itself and the stored intervals it contains, the
+candidate with the largest statistic, and is split around it.
 """
 
 from __future__ import annotations
@@ -60,22 +60,17 @@ def draw_intervals(n: int, m: int, rng: RandomSource) -> IntervalSet:
 def segmentation_driver(n: int, intervals: IntervalSet, scan) -> list[Detection]:
     """Run the recursion on 1..n with an arbitrary single-interval scanner.
 
-    ``scan(l, u)`` must return the best candidate on (l, u) or None.  It is
-    called once per distinct interval; the result is kept for this call and
-    reused at every recursion level.  Within an active segment, the segment
-    itself comes first, so it wins exact statistic ties; stored intervals
-    then compete in index order.  Recursion on (l0, u0) splits at the
-    winning tau into (l0, tau) and (tau+1, u0); output does not depend on
-    segment processing order.  ``intervals`` must be drawn for ``n``.
+    ``scan(l, u)`` must return the best candidate on (l, u) or None.  Each
+    distinct stored interval with a split is scanned once, in index order,
+    before the recursion; a segment that is not stored is scanned when it is
+    reached.  A segment's own candidate wins exact statistic ties, then the
+    stored intervals inside it compete in index order.  Recursion on (l0, u0)
+    splits at the winning tau into (l0, tau) and (tau+1, u0); output does not
+    depend on segment processing order.  ``intervals`` must be drawn for ``n``.
     """
     if intervals.n != n:
         raise InputDataError(f"interval set drawn for n={intervals.n}, data has n={n}")
-    scanned: dict[tuple[int, int], Detection | None] = {}
-
-    def best_on(l: int, u: int) -> Detection | None:
-        if (l, u) not in scanned:
-            scanned[l, u] = scan(l, u)
-        return scanned[l, u]
+    priced = {(l, u): scan(l, u) for l, u in dict.fromkeys(intervals.pairs) if u - l > 1}
 
     detections: list[Detection] = []
     stack: list[tuple[int, int]] = [(1, n)]
@@ -83,12 +78,10 @@ def segmentation_driver(n: int, intervals: IntervalSet, scan) -> list[Detection]
         l0, u0 = stack.pop()
         if u0 - l0 <= 1:
             continue
-        best = best_on(l0, u0)
-        for l, u in intervals.pairs:
-            if (l, u) == (l0, u0) or l < l0 or u > u0 or u - l <= 1:
-                continue
-            candidate = best_on(l, u)
-            if candidate is not None and (best is None or candidate.statistic > best.statistic):
+        best = priced[l0, u0] if (l0, u0) in priced else scan(l0, u0)
+        for (l, u), candidate in priced.items():
+            inside = l0 <= l and u <= u0 and candidate is not None
+            if inside and (best is None or candidate.statistic > best.statistic):
                 best = candidate
         if best is None:
             continue

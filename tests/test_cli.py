@@ -195,6 +195,46 @@ def test_invalid_manual_penalties_fail_with_a_message(tmp_path, capsys, penaltie
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("options", "message"),
+    [
+        (["--sigma", "1,2"], "sigma list has 2 entries for 3 variates"),
+        (["--sigma", "1,x,2"], "cannot parse sigma list"),
+        (["--sigma", "1,0,1"], "sigma values must be positive and finite"),
+        (
+            ["--model", "negbin", "--sigma", "1"],
+            "--sigma is Gaussian only; the count model estimates each variate's dispersion",
+        ),
+    ],
+    ids=["too-few-entries", "unparseable", "zero", "negbin"],
+)
+def test_invalid_sigma_fails_with_a_message(tmp_path, capsys, options, message):
+    out = tmp_path / "r.json"
+    args = [
+        "detect", "--input", str(_panel_csv(tmp_path, 60, 3, 30)), *options,
+        "--output", str(out),
+    ]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["panel.csv"]
+
+
+def test_a_sigma_list_of_equal_values_matches_the_scalar(tmp_path, capsys):
+    reports = []
+    for sigma in ("1", "1,1,1"):
+        out = tmp_path / f"r-{len(reports)}.json"
+        args = [
+            "detect", "--input", str(_panel_csv(tmp_path, 60, 3, 30)), "--sigma", sigma,
+            "--calib-reps", "20", "--intervals", "40", "--output", str(out),
+        ]
+        assert main(args) == 0
+        reports.append(out.read_text())
+    capsys.readouterr()
+    assert json.loads(reports[0])["detections"]
+    assert reports[0] == reports[1]
+
+
 def test_unparseable_cell_fails_with_coordinates(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("time,a,b\n1,0.5,NA\n2,0.5,1.0\n3,0.5,1.0\n")
@@ -297,10 +337,17 @@ _SHIFTED = ["x1", "x2", "x3", "x4", "x5"]
         # Integer data quantise the MAD scale estimate: every variate gets
         # sigma = 1 / (0.6745 sqrt(2)), about 1.048.
         (200, 10, 100, {"rounded": True}, [], 0, [100], [(100, "sparse", _SHIFTED)]),
+        # The twin panel without postprocess: the dense candidate keeps every
+        # variate, and a sparse candidate on the twins survives at 167.
+        (
+            200, 10, 100, {"twin": True}, ["--no-postprocess"], 0, [100, 167],
+            [(100, "dense", [f"x{i}" for i in range(1, 11)]), (167, "sparse", ["x1", "x10"])],
+        ),
     ],
     ids=[
         "change-at-1", "change-at-n-1", "n-3", "d-1-calibrated", "d-1-manual",
         "duplicated-variate", "offset-1e8", "rounded-to-integers",
+        "duplicated-variate-no-postprocess",
     ],
 )
 def test_awkward_inputs_through_detect(
@@ -713,6 +760,51 @@ def test_package_has_no_function_local_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert not local, f"imports inside function bodies: {sorted(local)}"
+
+
+def _string_annotation_names(tree):
+    """Names read inside the string annotations of ``tree``."""
+    annotations = [
+        ann
+        for node in ast.walk(tree)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if ann is not None
+    ]
+    return {
+        name.id
+        for ann in annotations
+        for leaf in ast.walk(ann)
+        if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str)
+        for name in ast.walk(ast.parse(leaf.value, mode="eval"))
+        if isinstance(name, ast.Name)
+    }
+
+
+def test_package_has_no_unused_imports():
+    # Each name a module imports at its top, or under ``if TYPE_CHECKING:``,
+    # must be read in that module: in code or in a string annotation.
+    sources = sorted((PYPROJECT.parent / "src" / "subsetcp").glob("*.py"))
+    assert len(sources) > 1
+    unused = set()
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for stmt in tree.body:
+            for node in [stmt, *(stmt.body if isinstance(stmt, ast.If) else ())]:
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.partition(".")[0]
+                        imported[bound] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _string_annotation_names(tree)
+        unused.update(
+            f"{path.name}:{line}:{name}" for name, line in imported.items() if name not in used
+        )
+    assert not unused, f"imported but never used: {sorted(unused)}"
 
 
 _BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}
