@@ -74,16 +74,7 @@ class CostModel:
         """
         if self.kind == GAUSSIAN:
             return -total * total / length
-        r = self.scale.astype(total.dtype, copy=False)
-        lr = length * r[:, None]
-        mass = lr + total
-        out = np.divide(total, mass)
-        # Floor S / mass: an empty span's S log(S / mass) is then 0 * finite = 0.
-        np.log(np.maximum(out, np.finfo(out.dtype).tiny, out=out), out=out)
-        out *= total
-        np.log(np.divide(lr, mass, out=mass), out=mass)
-        mass *= lr
-        out += mass
+        out = _negbin_terms(total, length * self.scale.astype(total.dtype, copy=False)[:, None])
         out *= -2.0
         return out
 
@@ -124,7 +115,7 @@ class CostModel:
                 rows = self.cum_y[start : start + step]
                 ends = rows[:, l - 1 : u + 1 : length].astype(dtype)
                 block = np.matmul(ends, weights, out=w[start : start + step])
-                block -= rows[:, l:u].astype(dtype)
+                block -= rows[:, l:u].astype(dtype, copy=False)
                 block *= norm
             return w
         share = len_left / length
@@ -144,36 +135,46 @@ class CostModel:
         Returns a (d, u-l) array whose column ``t - l`` holds, per variate,
         cost(l..u) - cost(l..t) - cost(t+1..u) for the split at ``t``.
         Gains are non-negative; negbin rounding residue is clipped at zero.
-        ``dtype`` is the working precision; the sums are float64 differences
-        of the prefix table, rounded once to it.  ``gain_error_bound``
-        bounds how far a float32 block can lie from the float64 one.
+        ``dtype`` is the working precision; the sums are differences of the
+        prefix table in its own dtype, rounded once to ``dtype``.
+        ``gain_error_bound`` bounds how far a float32 block can lie from the
+        float64 one.
         """
         if self.kind == GAUSSIAN:
             w = self.cusum(l, u, dtype)
             w *= w
             return w
         self._check_interval(l, u)
-        # Column t - l of a block's pieces holds the left and right sums of
-        # the split at t.  One more column holds the whole interval and an
-        # empty right piece, so one span_cost call also prices the full
-        # span.  Right lengths are the left ones reversed; the empty piece
-        # gets length u - l + 1, so its cost is 0 rather than 0 / 0.  The
-        # output is filled a block of rows at a time, each block a model of
-        # its own, so the temporaries stay one block in size.
-        len_left = np.arange(1, u - l + 2, dtype=dtype)
-        lengths = np.concatenate((len_left, len_left[-2::-1], len_left[-1:])).reshape(2, 1, -1)
+        # Column j of a block's pieces holds the sums of the first and of the
+        # last j + 1 points, both of length j + 1, so one lengths-times-r
+        # block serves both; the last column of each is the whole interval.
+        # With c the terms of ``_negbin_terms``, span costs are -2 c, so
+        # gain = -2 c(whole) + 2 c(left) + 2 c(right) = 2 ((c(left) - c(whole))
+        # + c(right)), operation by operation, since scaling by 2 is exact.
+        # The output is filled a block of rows at a time, so the temporaries
+        # stay one block in size.  They are one allocation per block: glibc
+        # raises its mmap and trim thresholds to the largest chunk it has
+        # freed, so one array stays on its heap from call to call, while
+        # several smaller ones can together pass the trim threshold and be
+        # returned to the system and faulted in again on every call.
+        length = u - l + 1
+        len_left = np.arange(1, length + 1, dtype=dtype)
+        r = self.scale.astype(dtype, copy=False)
         gains = np.empty((self.d, u - l), dtype)
         step = max(1, _ROW_BLOCK_CELLS // (u - l))
         for start in range(0, self.d, step):
-            part = slice(start, start + step)
-            rows = CostModel(NEGBIN, self.scale[part], self.cum_y[part])
-            pieces = np.empty((2, rows.d, u - l + 1), dtype)
-            np.subtract(rows.cum_y[:, l : u + 1], rows.cum_y[:, l - 1 : l], out=pieces[0])
-            np.subtract(rows.cum_y[:, u : u + 1], rows.cum_y[:, l : u + 1], out=pieces[1])
-            left, right = rows.span_cost(pieces, lengths)
-            block = np.subtract(left[:, -1:], left[:, :-1], out=gains[part])
-            block -= right[:, :-1]
-        return np.maximum(gains, 0.0, out=gains)
+            rows = self.cum_y[start : start + step]
+            work = np.empty((7, len(rows), length), dtype)
+            pieces, lr = work[:2], work[6]
+            np.subtract(rows[:, l : u + 1], rows[:, l - 1 : l], out=pieces[0])
+            np.subtract(rows[:, u : u + 1], rows[:, l - 1 : u][:, ::-1], out=pieces[1])
+            np.multiply(len_left, r[start : start + step, None], out=lr)
+            left, right = _negbin_terms(pieces, lr, work[2:4], work[4:6])
+            block = np.subtract(left[:, :-1], left[:, -1:], out=gains[start : start + step])
+            block += right[:, -2::-1]
+            block *= 2.0
+            np.maximum(block, 0.0, out=block)
+        return gains
 
     def gain_error_bound(self, l: np.ndarray, u: np.ndarray, dense_max: np.ndarray) -> np.ndarray:
         """Bound on sum_i |D32[i, t] - D64[i, t]| at every split t of each
@@ -286,6 +287,29 @@ class CostModel:
         """
         sums = self.cum_y[:, bounds[: j + 1]]
         return self.span_cost(sums[:, j:] - sums[:, :j], (bounds[j] - bounds[:j]).astype(float))
+
+
+def _negbin_terms(total: np.ndarray, lr: np.ndarray, mass=None, out=None) -> np.ndarray:
+    """S log(S / (lr + S)) + lr log(lr / (lr + S)) of spans with sums
+    ``total`` and lengths times r ``lr``, in their dtype: minus half the
+    negbin span cost.  ``lr`` broadcasts against ``total``.  S / (lr + S) is
+    floored at the smallest normal number, so an empty span's
+    S log(S / (lr + S)) is 0 * finite = 0; the floor is skipped, changing
+    nothing, when every ratio is at least that number.  ``mass`` and
+    ``out``, arrays of ``total``'s shape, are the scratch and the result
+    when given.
+    """
+    mass = np.add(lr, total, out=mass)
+    out = np.divide(total, mass, out=out)
+    tiny = np.finfo(out.dtype).tiny
+    if not out.min(initial=np.inf) >= tiny:
+        np.maximum(out, tiny, out=out)
+    np.log(out, out=out)
+    out *= total
+    np.log(np.divide(lr, mass, out=mass), out=mass)
+    mass *= lr
+    out += mass
+    return out
 
 
 def _mad_sigma(rows: np.ndarray) -> np.ndarray:

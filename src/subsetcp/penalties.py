@@ -163,28 +163,41 @@ def _equal_length_blocks(models: list[CostModel], pairs):
     Yields ``(block, slots)``.  ``block`` is a ``CostModel`` of n = L whose
     rows are the prefix windows ``cum_y[:, l - 1 : u + 1]`` of G intervals
     of length L = u - l + 1, stacked member by member along with their
-    scales, so that ``block.gain_matrix(1, L)`` reshaped to (G, d, L - 1)
-    holds each member's ``gain_matrix(l, u)``, computed by the same
-    operations.
-    ``slots`` are the members' positions in ``pairs`` flattened in order.
-    A block holds at most ``_BLOCK_CELLS`` prefix cells, or one window; a
-    single window is a view of its replicate's table.
+    scales and rounded to float32 as they are stacked, so that
+    ``block.gain_matrix(1, L, np.float32)`` reshaped to (G, d, L - 1) holds
+    each member's ``gain_matrix(l, u, np.float32)`` byte for byte, and the
+    same for ``cusum``.  ``slots`` are the members' positions in ``pairs``
+    flattened in order.  A block holds at most ``_BLOCK_CELLS`` prefix
+    cells, or one window.
+
+    Why the bytes hold: the float32 ``cusum`` rounds the table to float32
+    before any arithmetic, so Gaussian windows are always float32.  A count
+    table holds integers, and when the batch's largest prefix sum is below
+    2^24 float32 holds every one of them, and every difference of two of
+    them, exactly: the float32 piece sums of the negbin kernel then equal
+    the float64 differences rounded once.  Count batches with a larger sum
+    keep float64 windows, which the kernel subtracts in float64.
     """
     reps = np.repeat(np.arange(len(pairs)), [len(rep_pairs) for rep_pairs in pairs])
     starts, ends = np.concatenate(pairs).T
     lengths = ends - starts + 1
     order = np.argsort(lengths, kind="stable")
     kind, d = models[0].kind, models[0].d
+    exact = kind == GAUSSIAN or max(model.cum_y[:, -1].max() for model in models) < 2**24
+    dtype = np.float32 if exact else np.float64
+    scales = np.stack([model.scale for model in models])
     for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         length = int(lengths[group[0]])
         size = max(1, _BLOCK_CELLS // (d * (length + 1)))
         for first in range(0, len(group), size):
             slots = group[first : first + size]
-            members = list(zip(reps[slots].tolist(), starts[slots].tolist()))
-            windows = [models[rep].cum_y[:, l - 1 : l + length] for rep, l in members]
-            cum_y = windows[0] if len(windows) == 1 else np.concatenate(windows)
-            scale = np.concatenate([models[rep].scale for rep, _ in members])
-            yield CostModel(kind, scale, cum_y), slots
+            owners = reps[slots]
+            windows = [
+                models[rep].cum_y[:, l - 1 : l + length]
+                for rep, l in zip(owners.tolist(), starts[slots].tolist())
+            ]
+            block = np.concatenate(windows, dtype=dtype)
+            yield CostModel(kind, scales[owners].ravel(), block), slots
 
 
 def _screened_maxima(models: list[CostModel], pairs, screen, bounds, rescan) -> np.ndarray:
@@ -245,7 +258,10 @@ def _branch_maxima(models: list[CostModel], pairs, alpha: float) -> np.ndarray:
     def screen(block, size):
         gains = block.gain_matrix(1, block.n, np.float32)
         sums = branch_sums(gains.reshape(size, -1, block.n - 1), alpha)
-        return np.column_stack([s.max(axis=-1) for s in sums])
+        top = np.empty((2, size), np.float32)
+        for row, values in zip(top, sums):
+            np.maximum.reduce(values, axis=-1, out=row)
+        return top.T
 
     def bounds(rep, screened):
         error = _screen_error(models[rep], pairs[rep], screened, alpha)

@@ -863,13 +863,14 @@ def _dynamic_arch_openblas() -> bool:
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_pins_hold_on_other_blas_kernels(core):
     # OpenBLAS reads OPENBLAS_CORETYPE once, when it loads, so the detect and
-    # calibrate pins of both models rerun in a process of their own, against
-    # the same expected outputs.
+    # calibrate pins of both models, and the blocked CUSUM kernels, rerun in
+    # a process of their own, against the same expected outputs.
     here = Path(__file__).resolve()
     proc = subprocess.run(
         [
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
             f"{here}::test_detect_output_is_pinned", f"{here}::test_calibrate_output_is_pinned",
+            f"{here.parent / 'test_costs.py'}::test_blocked_cusum_equals_the_one_pass_formula",
         ],
         capture_output=True,
         text=True,
@@ -878,7 +879,7 @@ def test_pins_hold_on_other_blas_kernels(core):
         env={**os.environ, "OPENBLAS_CORETYPE": core},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "10 passed" in proc.stdout
 
 
 def _load_toml(path):

@@ -1,9 +1,14 @@
 """Penalty construction: defaults, the closed-form sparse threshold, calibration."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,18 +174,20 @@ def _block_windows(models, block, l, u):
     """The (replicate, l, u) of each window stacked in a block of
     ``_equal_length_blocks``: (1, L) priced on G d rows of L + 1 prefix sums.
     A window is found by its second prefix column, unique on Gaussian data,
-    then matched in full."""
+    then matched in full, each replicate's table rounded to the block's
+    dtype as the block rounds it."""
     assert (l, u) == (1, block.n)
-    d = models[0].d
+    d, dtype = models[0].d, block.cum_y.dtype
     owners = {
-        model.cum_y[:, j].tobytes(): (rep, j)
+        model.cum_y[:, j].astype(dtype).tobytes(): (rep, j)
         for rep, model in enumerate(models)
         for j in range(1, model.n + 1)
     }
     found = []
     for window in block.cum_y.reshape(-1, d, block.n + 1):
         rep, start = owners[window[:, 1].tobytes()]
-        assert np.array_equal(window, models[rep].cum_y[:, start - 1 : start + block.n])
+        expected = models[rep].cum_y[:, start - 1 : start + block.n].astype(dtype)
+        assert window.tobytes() == expected.tobytes()
         found.append((rep, start, start + block.n - 1))
     return found
 
@@ -376,6 +383,47 @@ def test_a_wide_null_replicate_holds_few_copies_of_the_panel(kind, panels):
     assert peak / (8 * 1000 * 1000) < panels
 
 
+def test_count_calibration_rounds_blocks_not_tables():
+    # The batch holds 20 float64 prefix tables (1.8 MiB) and its interval
+    # indices; each block rounds its own windows to float32.  A float32 copy
+    # of every table, kept for the batch, took the peak to 5.63 MiB.  The
+    # first call imports and caches what the second would count.
+    null = NullModel(kind=NEGBIN)
+    calibrate_beta(100, 12, null, RandomSource(1), reps=20, intervals=30)
+    tracemalloc.start()
+    try:
+        calibrate_beta(1000, 12, null, RandomSource(0), reps=20, intervals=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0 * 2**20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's allocator")
+def test_count_calibration_keeps_its_kernel_temporaries_paged_in():
+    # With glibc's default, moving mmap and trim thresholds, four kernel
+    # temporaries per block went back to the operating system after every
+    # block and were faulted in again: about 0.42 M minor page faults per
+    # calibration.  A fresh process without MALLOC_* settings sees those
+    # defaults; its first call imports and warms up.
+    code = (
+        "import resource\n"
+        "from subsetcp import NEGBIN, NullModel, RandomSource, calibrate_beta\n"
+        "null = NullModel(kind=NEGBIN)\n"
+        "calibrate_beta(100, 12, null, RandomSource(1), reps=20, intervals=30)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "calibrate_beta(1000, 12, null, RandomSource(0), reps=20, intervals=1000)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if not key.startswith("MALLOC_")}
+    env["PYTHONPATH"] = str(Path(penalties.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50_000
+
+
 @st.composite
 def _screened_datasets(draw):
     """A cost model, its interval set and alpha = 2 ln d, as one calibration
@@ -430,6 +478,45 @@ def test_screened_maxima_equal_the_float64_scan_with_one_row_blocks(data):
         patch.setattr(costs, "_ROW_BLOCK_CELLS", 1)
         screened = _branch_maxima([model], [pairs], alpha)
     assert screened[0].tobytes() == branch_maxima(model, pairs, alpha).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 300),
+    d=st.integers(2, 4),
+    reps=st.integers(1, 3),
+    top=st.sampled_from([1, 100, 2**16]),
+    peak=st.sampled_from([None, 2**24 - 1, 2**24 + 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_blocks_round_to_float32_only_below_2_24(n, d, reps, top, peak, seed):
+    # float32 holds every integer below 2^24, but not 2^24 + 1, so a batch
+    # whose largest prefix sum reaches 2^24 keeps float64 windows.  Either
+    # way the maxima equal those of a float64 scan.
+    g = np.random.default_rng(seed)
+    values = [g.integers(0, top, (d, n), endpoint=True) for _ in range(reps)]
+    if peak is not None:
+        # The first count lifts the other prefix sums of the row to about
+        # peak, where float32 rounds odd ones and their differences with them.
+        row = values[-1][0]
+        row[0] = max(peak - row[1:].sum(), 0)
+    models = [negbin_model(make_matrix(v)) for v in values]
+    pairs = []
+    for rep in range(reps):
+        drawn = np.array(draw_intervals(n, 10, RandomSource(seed).child(rep)).pairs)
+        pairs.append(drawn[drawn[:, 1] - drawn[:, 0] > 1])
+    exact = max(model.cum_y[:, -1].max() for model in models) < 2**24
+    flat = [(rep, l, u) for rep, rep_pairs in enumerate(pairs) for l, u in rep_pairs.tolist()]
+    for block, slots in penalties._equal_length_blocks(models, pairs):
+        assert block.cum_y.dtype == (np.float32 if exact else np.float64)
+        gains = block.gain_matrix(1, block.n, np.float32).reshape(len(slots), d, -1)
+        for member, slot in zip(gains, slots):
+            rep, l, u = flat[slot]
+            assert member.tobytes() == models[rep].gain_matrix(l, u, np.float32).tobytes()
+    alpha = 2.0 * math.log(d)
+    screened = _branch_maxima(models, pairs, alpha)
+    for model, rep_pairs, row in zip(models, pairs, screened):
+        assert row.tobytes() == branch_maxima(model, rep_pairs.tolist(), alpha).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
