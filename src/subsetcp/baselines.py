@@ -46,19 +46,24 @@ def cusum_matrix(model: CostModel, l: int, u: int, dtype=np.float64) -> np.ndarr
     return np.abs(w, out=w)
 
 
+def binweight_cut_off(n: int) -> float:
+    """The |CUSUM| above which binweight sums an entry, for series length n."""
+    return math.sqrt(2.0 * math.log(n))
+
+
 def baseline_statistic(w: np.ndarray, method: str, n: int) -> np.ndarray:
     """Aggregated |CUSUM| at every split, before thresholding.
 
     ``w`` has variates on axis -2, as from ``cusum_matrix``; that axis is
-    reduced.  Binweight sums the entries above sqrt(2 ln n), with n the
-    series length; sqrt(2 ln d) is the common alternative for wide matrices.
+    reduced.  Binweight sums the entries above ``binweight_cut_off(n)``,
+    sqrt(2 ln n); sqrt(2 ln d) is the common alternative for wide matrices.
     """
     if method == METHOD_MEAN:
         return w.mean(axis=-2)
     if method == METHOD_MAX:
         return w.max(axis=-2)
     if method == METHOD_BINWEIGHT:
-        return np.add.reduce(w, axis=-2, where=w > math.sqrt(2.0 * math.log(n)))
+        return np.add.reduce(w, axis=-2, where=w > binweight_cut_off(n))
     raise InputDataError(f"unknown baseline {method!r}; choose from {BASELINE_METHODS}")
 
 

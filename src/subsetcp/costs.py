@@ -207,29 +207,25 @@ class CostModel:
         float32 values, which integer counts give when r >= 2^-40 and
         S + Lr <= 2^40.
 
-        Gaussian blocks start from the same prefix table.  By the proof of
-        ``cusum_error_bound``, both CUSUMs of variate i lie within
-        e_i = u (7.1 P_i + 4 |w_i|) of the exact w_i and of each other, and
-        squaring rounds once more, so the gains differ by at most
-        2 |w_i| e_i + 2 e_i^2 + u (|w_i| + e_i)^2 <= 14.3 u P_i |w_i|
-        + 9.1 u w_i^2 + 212 u^2 P_i^2.  Summed over variates with
-        Cauchy-Schwarz, that is at most 14.3 u ||P|| R + 9.1 u R^2 for any
-        R >= ||w|| + 14.9 u ||P||.  The float32 gains' column sum is at most
-        dense_max, so the float32 CUSUM's norm is at most (1 + d u)
-        sqrt(dense_max), and ||w|| exceeds it by at most 7.1 u ||P|| over
-        1 - 4u: R = (1 + (d + 5) u) sqrt(dense_max) + 22 u ||P|| qualifies.
-        The last term, d 2^-120 (1 + R), covers results that underflow,
-        whether rounded or flushed to zero.  The proof needs ||P|| <= 2^40.
+        Gaussian gains square CUSUMs that lie within e = ``cusum_error_bound``
+        of each other, and each square rounds once, so per variate
+        |D32 - D64| <= e (2 |w32| + e) + u w32^2 + u (|w32| + e)^2.  Summed
+        with Cauchy-Schwarz, that is 2 (1 + u) ||e|| R + (1 + u) ||e||^2
+        + 2u R^2 for any R >= ||w32||.  The w32^2 sum to at most dense_max /
+        ((1 - u)(1 - gamma_(d-1))), plus 2^-126 for each square that
+        underflows, so R = (1 + (d + 5) u) sqrt(dense_max) + sqrt(d) 2^-62
+        qualifies.  The last term, d 2^-120 (1 + R), covers those squares.
         """
         if self.n >= 2**24 or self.d >= 2**20:
             return np.full(len(l), np.inf)
         if self.kind == GAUSSIAN:
-            norm = math.sqrt(np.sum(self._peaks() ** 2))
-            h = SCREEN_ROUNDOFF * norm
-            root = (1.0 + (self.d + 5) * SCREEN_ROUNDOFF) * np.sqrt(dense_max) + 22.0 * h
-            bound = 14.3 * h * root + 9.1 * SCREEN_ROUNDOFF * root * root
-            bound += 2.0**-120 * self.d * (1.0 + root)
-            return bound if norm <= 2.0**40 else np.full(len(l), np.inf)
+            entry = self.cusum_error_bound()
+            norm = math.sqrt(np.einsum("i,i->", entry, entry))
+            root = (1.0 + (self.d + 5) * SCREEN_ROUNDOFF) * np.sqrt(dense_max)
+            root += math.sqrt(self.d) * 2.0**-62
+            bound = (1.0 + SCREEN_ROUNDOFF) * norm * (2.0 * root + norm)
+            bound += 2.0 * SCREEN_ROUNDOFF * root * root + 2.0**-120 * self.d * (1.0 + root)
+            return bound if norm < math.inf else np.full(len(l), np.inf)
         mass = self.cum_y[:, u] - self.cum_y[:, l - 1] + (u - l + 1) * self.scale[:, None]
         bound = 64.0 * SCREEN_ROUNDOFF * mass.sum(axis=0)
         normal = (self.scale.min() >= 2.0**-40) & (mass.max(axis=0) <= 2.0**40)
@@ -267,15 +263,10 @@ class CostModel:
         bounds built on it.  The last term, 2^-120, covers results that
         underflow, whether rounded or flushed to zero.
         """
-        peak = self._peaks()
+        peak = np.maximum(self.cum_y.max(axis=1), -self.cum_y.min(axis=1))
         if self.n >= 2**24 or peak.max() > 2.0**40:
             return np.full(self.d, np.inf)
         return 18.5 * SCREEN_ROUNDOFF * peak + 2.0**-120
-
-    def _peaks(self) -> np.ndarray:
-        """Largest |prefix sum| of each variate, without an absolute copy of
-        the table."""
-        return np.maximum(self.cum_y.max(axis=1), -self.cum_y.min(axis=1))
 
     def boundary_cost_matrix(self, bounds: np.ndarray, j: int) -> np.ndarray:
         """Costs of every variate's spans that end at boundary ``bounds[j]``.

@@ -134,11 +134,13 @@ def _null_maxima(
     (1, n)); intervals with a single split are skipped, as in the detector.
     A batch holds as many replicates as fit ``_BATCH_CELLS`` prefix cells,
     and at least one.  ``batch_maxima`` returns one row per replicate; maxima
-    of k values give shape (reps, k).  ``n``, ``target_fp``, ``reps`` and
-    ``intervals`` are checked here, before the first draw.
+    of k values give shape (reps, k).  ``n``, ``d``, ``target_fp``, ``reps``
+    and ``intervals`` are checked here, before the first draw.
     """
     if n < 3:
         raise InputDataError(f"calibration needs n >= 3, got {n}")
+    if d < 1:
+        raise InputDataError(f"calibration needs d >= 1, got {d}")
     if not 0.0 < target_fp < 1.0:
         raise InputDataError(f"target_fp must be in (0, 1), got {target_fp}")
     if reps < 20:
@@ -339,7 +341,7 @@ def _screened_aggregates(w: np.ndarray, method: str, n: int, widest: float) -> n
     if method != baselines.METHOD_BINWEIGHT:
         top = baselines.baseline_statistic(w, method, n).max(axis=-1)
         return np.column_stack((top, top))
-    cut = math.sqrt(2.0 * math.log(n))
+    cut = baselines.binweight_cut_off(n)
     above = np.nextafter(np.float32(cut + widest), np.float32(np.inf))
     below = np.nextafter(np.float32(cut - widest), np.float32(-np.inf))
     return np.column_stack([
@@ -421,6 +423,7 @@ def calibrate_baseline_threshold(
     """
     if null.kind != GAUSSIAN:
         raise InputDataError("baseline calibration is defined for the Gaussian model only")
+    baselines.BaselineConfig(method, threshold=0.0)  # rejects an unknown method
     maxima = _null_maxima(
         n, d, null, rng, target_fp, reps, intervals,
         lambda models, pairs: _aggregated_maxima(models, pairs, method),

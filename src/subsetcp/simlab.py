@@ -276,11 +276,13 @@ def evaluate(
     fpr_pool: list[float] = []
     for seed, (result, truth) in enumerate(runs):
         estimates = [det.tau for det in result.detections]
+        missed = 0
         tpr_values: list[float] = []
         fpr_values: list[float] = []
         for ch in truth:
             matches = [det for det in result.detections if abs(det.tau - ch.tau) <= tol]
             if not matches:
+                missed += 1
                 continue
             nearest = min(matches, key=lambda det: (abs(det.tau - ch.tau), det.tau))
             if nearest.kind != KIND_SPARSE:
@@ -293,9 +295,7 @@ def evaluate(
         rows.append(
             ReplicateRow(
                 seed=seed,
-                missed=sum(
-                    1 for ch in truth if not any(abs(est - ch.tau) <= tol for est in estimates)
-                ),
+                missed=missed,
                 false_alarms=sum(
                     1 for est in estimates if not any(abs(est - ch.tau) <= tol for ch in truth)
                 ),

@@ -864,13 +864,18 @@ def _dynamic_arch_openblas() -> bool:
 def test_pins_hold_on_other_blas_kernels(core):
     # OpenBLAS reads OPENBLAS_CORETYPE once, when it loads, so the detect and
     # calibrate pins of both models, and the blocked CUSUM kernels, rerun in
-    # a process of their own, against the same expected outputs.
+    # a process of their own, against the same expected outputs; so do the
+    # Gaussian screen bounds, which rest on the blocked CUSUM's order-free
+    # proof.
     here = Path(__file__).resolve()
+    penalties = here.parent / "test_penalties.py"
     proc = subprocess.run(
         [
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
             f"{here}::test_detect_output_is_pinned", f"{here}::test_calibrate_output_is_pinned",
             f"{here.parent / 'test_costs.py'}::test_blocked_cusum_equals_the_one_pass_formula",
+            f"{penalties}::test_float32_branch_values_lie_within_the_screen_bound",
+            f"{penalties}::test_float32_aggregates_lie_within_the_screen_bound",
         ],
         capture_output=True,
         text=True,
@@ -879,7 +884,7 @@ def test_pins_hold_on_other_blas_kernels(core):
         env={**os.environ, "OPENBLAS_CORETYPE": core},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "10 passed" in proc.stdout
+    assert "12 passed" in proc.stdout
 
 
 def _load_toml(path):

@@ -161,6 +161,21 @@ def test_calibration_rejects_a_negative_interval_count_before_sampling(monkeypat
                                      intervals=-1)
 
 
+@pytest.mark.parametrize("d", (0, -3))
+def test_baseline_calibration_rejects_an_empty_panel_before_sampling(monkeypatch, d):
+    monkeypatch.setattr(NullModel, "sample_model", _no_draws)
+    null = NullModel(kind=GAUSSIAN)
+    with pytest.raises(InputDataError, match=f"calibration needs d >= 1, got {d}"):
+        calibrate_baseline_threshold(100, d, "mean", null, RandomSource(0), reps=20)
+
+
+def test_baseline_calibration_rejects_an_unknown_method_before_sampling(monkeypatch):
+    monkeypatch.setattr(NullModel, "sample_model", _no_draws)
+    null = NullModel(kind=GAUSSIAN)
+    with pytest.raises(InputDataError, match="unknown baseline 'median'"):
+        calibrate_baseline_threshold(100, 3, "median", null, RandomSource(0), reps=20)
+
+
 def test_calibration_is_reproducible():
     null = NullModel(kind=GAUSSIAN)
     a = calibrate_beta(80, 4, null, RandomSource(5), target_fp=0.1, reps=25, intervals=10)
@@ -424,6 +439,15 @@ def test_count_calibration_keeps_its_kernel_temporaries_paged_in():
     assert int(proc.stdout) < 50_000
 
 
+def _known_sigmas(d):
+    """Known Gaussian scales: 1, 1e-12, or 1, 1e20 or 1e40 per variate.  At
+    1e20 float32 squares underflow; at 1e40 the float32 prefix sums are
+    subnormal, so only the underflow term of ``cusum_error_bound`` covers
+    their rounding."""
+    mixed = st.lists(st.sampled_from([1.0, 1e20, 1e40]), min_size=d, max_size=d)
+    return st.one_of(st.sampled_from([1.0, 1e-12]), mixed)
+
+
 @st.composite
 def _screened_datasets(draw):
     """A cost model, its interval set and alpha = 2 ln d, as one calibration
@@ -434,7 +458,8 @@ def _screened_datasets(draw):
     screen bounds are infinite, and every such interval must be rescanned:
     counts around 1e10, whose long intervals sum past 2^40, and a known
     sigma of 1e-12, whose scaled prefix sums pass 2^40 and make every bound
-    infinite."""
+    infinite.  Known sigmas of 1, 1e20 and 1e40 mixed over the variates give
+    float32 gains that underflow to subnormals or to 0."""
     n = draw(st.one_of(st.integers(3, 60), st.sampled_from([200, 500, 3000])))
     d = draw(st.integers(2, 6))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -452,7 +477,7 @@ def _screened_datasets(draw):
         if draw(st.booleans()):
             values[:, n // 2 :] += draw(st.sampled_from([0.5, 3.0]))
         estimated = offset > 0 or draw(st.booleans())
-        sigma = None if estimated else draw(st.sampled_from([1.0, 1e-12]))
+        sigma = None if estimated else draw(_known_sigmas(d))
         model = gaussian_model(make_matrix(values), sigma=sigma)
     intervals = draw(st.sampled_from([0, 1, 5, 40]))
     pairs = draw_intervals(n, intervals, RandomSource(draw(st.integers(0, 1000)))).pairs
@@ -546,10 +571,11 @@ def _cut_off_datasets(draw):
     """A Gaussian cost model and its interval set, as a baseline calibration
     replicate sees them: series offset by 1e8 with estimated scales, a known
     sigma of 1e-12, whose scaled prefix sums pass 2^40 and make every bound
-    infinite, and tables with one interval whose |CUSUM| sits within a few
-    float32 rounding errors of the binweight cut-off sqrt(2 ln n) at every
-    split, on prefix sums up to 1e6, so that rounding can carry entries
-    across."""
+    infinite, known sigmas of 1, 1e20 and 1e40 mixed over the variates,
+    whose float32 values underflow, and tables with one interval whose
+    |CUSUM| sits within a few float32 rounding errors of the binweight
+    cut-off sqrt(2 ln n) at every split, on prefix sums up to 1e6, so that
+    rounding can carry entries across."""
     n = draw(st.one_of(st.integers(3, 60), st.sampled_from([500, 3000])))
     d = draw(st.integers(1, 6))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -558,7 +584,7 @@ def _cut_off_datasets(draw):
     if draw(st.booleans()):
         values[:, n // 2 :] += draw(st.sampled_from([0.5, 3.0]))
     estimated = offset > 0 or draw(st.booleans())
-    sigma = None if estimated else draw(st.sampled_from([1.0, 1e-12]))
+    sigma = None if estimated else draw(_known_sigmas(d))
     model = gaussian_model(make_matrix(values), sigma=sigma)
     intervals = draw(st.sampled_from([0, 5, 40]))
     pairs = draw_intervals(n, intervals, RandomSource(draw(st.integers(0, 1000)))).pairs
