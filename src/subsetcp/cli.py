@@ -189,6 +189,8 @@ def cmd_benchmark(args) -> int:
     for method in methods:
         if method not in _METHODS:
             raise InputDataError(f"unknown method {method!r}; choose from {_METHODS}")
+    if args.model == NEGBIN and any(m in BASELINE_METHODS for m in methods):
+        raise InputDataError("baseline calibration is defined for the Gaussian model only")
     spec = _scenario(args)
     lines = [f"scenario={args.scenario} model={args.model} reps={args.reps} n={args.n}"]
     lines.append("method\tavg_missed\tavg_false_alarms")

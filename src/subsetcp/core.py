@@ -88,28 +88,19 @@ class TimeSeriesMatrix:
         return self.values.shape[1]
 
 
-def make_matrix(
-    rows: Sequence[Sequence[float]],
-    names: Sequence[str] | None = None,
-    time_labels: Sequence[str] | None = None,
-) -> TimeSeriesMatrix:
+def make_matrix(rows: Sequence[Sequence[float]]) -> TimeSeriesMatrix:
     """Build a :class:`TimeSeriesMatrix` from per-variate rows.
 
-    ``rows[i]`` is the series of variate ``i+1``.  Rows must be non-empty and
-    of equal length; missing values are rejected.
+    ``rows[i]`` is the series of variate ``i+1``, named ``x{i+1}``.  Rows
+    must be non-empty and of equal length; missing values are rejected.
+    A named or labelled panel is ``TimeSeriesMatrix(values, names, labels)``.
     """
     if len(rows) == 0:
         raise InputDataError("empty input: no variates")
     lengths = {len(r) for r in rows}
     if len(lengths) != 1:
         raise InputDataError(f"ragged rows: lengths {sorted(lengths)}")
-    if names is None:
-        names = tuple(f"x{i}" for i in range(1, len(rows) + 1))
-    return TimeSeriesMatrix(
-        values=rows,
-        variate_names=tuple(names),
-        time_labels=tuple(time_labels) if time_labels is not None else None,
-    )
+    return TimeSeriesMatrix(rows, tuple(f"x{i}" for i in range(1, len(rows) + 1)))
 
 
 @dataclass(frozen=True)

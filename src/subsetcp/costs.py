@@ -320,25 +320,24 @@ def _mad_sigma(rows: np.ndarray) -> np.ndarray:
     return mad / (_MAD_CONST * math.sqrt(2.0))
 
 
-def estimate_dispersion(y: np.ndarray):
-    """Method-of-moments dispersion estimate r = m^2 / (v - m), capped at ``R_MAX``.
+def estimate_dispersion(y: np.ndarray) -> np.ndarray:
+    """Method-of-moments dispersion estimates r = m^2 / (v - m), capped at ``R_MAX``.
 
-    ``y`` is one count series, giving a float, or a (k, n) block of series,
-    giving k estimates.  Uses the n-1 variance denominator.
+    ``y`` is a (k, n) block of count series, giving k estimates.  Uses the
+    n-1 variance denominator.
     Under-dispersed series (v <= m) return ``R_MAX``, which makes the model
     effectively Poisson, and so do barely over-dispersed ones whose estimate
     exceeds it.  An all-zero series is under-dispersed; its span costs and
     gains are all 0.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[-1] < 2:
-        raise ValueError("need a 1-d series, or a 2-d block of series, of length >= 2")
+    if y.ndim != 2 or y.shape[1] < 2:
+        raise ValueError("need a 2-d block of series of length >= 2")
     _validate_counts(y)
-    m = np.mean(y, axis=-1)
-    excess = np.var(y, axis=-1, ddof=1) - m
+    m = np.mean(y, axis=1)
+    excess = np.var(y, axis=1, ddof=1) - m
     r = np.divide(m * m, excess, out=np.full_like(m, R_MAX), where=excess > 0)
-    r = np.minimum(r, R_MAX)
-    return float(r) if y.ndim == 1 else r
+    return np.minimum(r, R_MAX)
 
 
 def _validate_counts(values: np.ndarray) -> None:

@@ -19,17 +19,15 @@ from subsetcp import (
     GAUSSIAN,
     KIND_DENSE,
     KIND_SPARSE,
-    ChangeSpec,
     Detection,
     InputDataError,
-    ScenarioSpec,
     draw_intervals as package_draw_intervals,
     negbin_model,
 )
 from subsetcp.costs import R_MAX
 from subsetcp.diagnostics import variate_segments
 from subsetcp.penalties import _minimal_quiet_beta
-from subsetcp.simlab import _density_set
+from subsetcp.simlab import ChangeSpec, ScenarioSpec, _density_set
 from subsetcp.single_change import branch_sums
 
 

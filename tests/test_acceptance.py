@@ -13,33 +13,32 @@ import numpy as np
 
 from oracles import amoc_scenario, best_partition, kept_taus
 from subsetcp import (
-    BaselineConfig,
-    ChangeSpec,
-    DetectorConfig,
     GAUSSIAN,
     KIND_DENSE,
     KIND_SPARSE,
     NEGBIN,
     NullModel,
     RandomSource,
-    ScenarioSpec,
     TimeSeriesMatrix,
-    calibrate_baseline_threshold,
     calibrate_beta,
     draw_intervals,
     gaussian_model,
-    generate,
     negbin_model,
-    optimal_partition,
     postprocess,
-    run_experiment,
-    scan_interval,
-    scan_interval_baseline,
-    scenario,
     subset_wbs,
-    theoretical_penalties,
 )
-from subsetcp.single_change import branch_sums
+from subsetcp.baselines import BaselineConfig, scan_interval_baseline
+from subsetcp.penalties import calibrate_baseline_threshold, theoretical_penalties
+from subsetcp.postprocess import optimal_partition
+from subsetcp.simlab import (
+    ChangeSpec,
+    DetectorConfig,
+    ScenarioSpec,
+    generate,
+    run_experiment,
+    scenario,
+)
+from subsetcp.single_change import branch_sums, scan_interval
 
 
 def _announce(num: int, name: str, ok: bool) -> None:

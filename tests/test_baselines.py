@@ -7,21 +7,23 @@ import pytest
 
 import oracles
 from subsetcp import (
-    BaselineConfig,
     GAUSSIAN,
     InputDataError,
     NullModel,
     RandomSource,
-    baseline_statistic,
-    baseline_wbs,
-    calibrate_baseline_threshold,
-    cusum_matrix,
     draw_intervals,
     gaussian_model,
     make_matrix,
     negbin_model,
+)
+from subsetcp.baselines import (
+    BaselineConfig,
+    baseline_statistic,
+    baseline_wbs,
+    cusum_matrix,
     scan_interval_baseline,
 )
+from subsetcp.penalties import calibrate_baseline_threshold
 
 
 def test_cusum_hand_values():

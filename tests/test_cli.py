@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import subsetcp
-from subsetcp import RandomSource, draw_intervals, generate, scenario, theoretical_penalties
+from subsetcp import RandomSource, draw_intervals
 from subsetcp.cli import build_parser, main
+from subsetcp.penalties import theoretical_penalties
+from subsetcp.simlab import generate, scenario
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -562,6 +564,20 @@ def test_benchmark_compares_methods(tmp_path, capsys):
     for empty in (",", ""):
         assert main([*args[:-1], empty]) == 1
         assert "error: no method given" in capsys.readouterr().err
+
+
+def test_benchmark_rejects_count_baselines_before_any_experiment(monkeypatch, capsys):
+    # With subset listed first, the check used to come only after the whole
+    # subset experiment, from inside the baseline's calibration.
+    calls = []
+    monkeypatch.setattr(subsetcp.cli, "run_experiment", lambda *a: calls.append(a))
+    args = [
+        "benchmark", "--scenario", "Aprime", "--model", "negbin", "--n", "120",
+        "--reps", "1", "--intervals", "20", "--calib-reps", "20", "--methods", "subset,mean",
+    ]
+    assert main(args) == 1
+    assert "baseline calibration is defined for the Gaussian model only" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_out_of_range_false_alarm_target_fails_with_a_message(capsys):

@@ -1,6 +1,9 @@
 """Data model basics: matrix construction, detections, randomness contract."""
 
+import re
 import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,3 +149,16 @@ def test_public_names_resolve():
     namespace = {}
     exec("from subsetcp import *", namespace)
     assert all(name in namespace for name in names)
+    # A name dropped from __all__ must not linger as a hidden re-export.
+    submodules = {
+        name
+        for name, value in vars(subsetcp).items()
+        if isinstance(value, types.ModuleType) and value.__name__ == f"subsetcp.{name}"
+    }
+    public = {name for name in vars(subsetcp) if not name.startswith("_")}
+    assert public - submodules == set(names)
+    # The public surface is what README's "Library use" documents.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    undocumented = [name for name in names if not re.search(rf"\b{name}\b", section)]
+    assert undocumented == []

@@ -27,11 +27,11 @@ from oracles import (
 from subsetcp import (
     InputDataError,
     NumericalError,
-    estimate_dispersion,
     gaussian_model,
     make_matrix,
     negbin_model,
 )
+from subsetcp.costs import estimate_dispersion
 
 
 def test_gaussian_cost_hand_values():
@@ -127,24 +127,24 @@ def test_block_sigma_estimates_equal_the_row_by_row_ones(
 
 def test_dispersion_hand_value():
     # mean 2, variance 4 (ddof=1) -> 4 / (4 - 2) = 2
-    assert estimate_dispersion(np.array([0.0, 2.0, 4.0])) == pytest.approx(2.0)
+    assert estimate_dispersion(np.array([[0.0, 2.0, 4.0]])) == pytest.approx([2.0])
 
 
 def test_dispersion_caps_underdispersed_series():
-    assert estimate_dispersion(np.array([3.0, 3.0, 3.0, 4.0])) == 10_000.0
+    assert estimate_dispersion(np.array([[3.0, 3.0, 3.0, 4.0]])).tolist() == [10_000.0]
     # an all-zero series is under-dispersed too (v = m = 0)
-    assert estimate_dispersion(np.zeros(10)) == 10_000.0
+    assert estimate_dispersion(np.zeros((1, 10))).tolist() == [10_000.0]
 
 
 def test_dispersion_caps_barely_overdispersed_series():
     # v = m exactly, but v rounds just above m: m^2 / (v - m) is about 1.4e15
-    assert estimate_dispersion(np.array([0.0, 0.0, 0.0, 0.0, 1.0])) == 10_000.0
+    assert estimate_dispersion(np.array([[0.0, 0.0, 0.0, 0.0, 1.0]])).tolist() == [10_000.0]
     # a Poisson(20) draw with v - m = 0.0013, so m^2 / (v - m) is about 3e5
     y = np.random.default_rng(32).poisson(20, 200).astype(float)
     m, v = np.mean(y), np.var(y, ddof=1)
     assert 0 < v - m < 0.002
     assert m * m / (v - m) == pytest.approx(295121.0, rel=1e-6)
-    assert estimate_dispersion(y) == 10_000.0
+    assert estimate_dispersion(y[None]).tolist() == [10_000.0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,7 +164,6 @@ def test_block_dispersion_estimates_equal_the_scalar_formula(rows, n, seed, zero
     y[[i for i in zero_rows if i < rows]] = 0.0
     expected = [moments_dispersion(row) for row in y]
     assert estimate_dispersion(y).tolist() == expected
-    assert [estimate_dispersion(row) for row in y] == expected
     assert negbin_model(make_matrix(y)).scale.tolist() == expected
 
 
@@ -172,14 +171,14 @@ def test_dispersion_recovers_generating_parameter():
     rng = np.random.default_rng(202)
     for _ in range(20):
         y = rng.negative_binomial(20, 0.5, size=100_000).astype(float)
-        assert 18.0 <= estimate_dispersion(y) <= 22.0
+        assert 18.0 <= estimate_dispersion(y[None])[0] <= 22.0
 
 
 def test_dispersion_rejects_bad_counts():
     with pytest.raises(InputDataError):
-        estimate_dispersion(np.array([0.0, 1.5, 2.0]))
+        estimate_dispersion(np.array([[0.0, 1.5, 2.0]]))
     with pytest.raises(InputDataError):
-        estimate_dispersion(np.array([0.0, -1.0, 2.0]))
+        estimate_dispersion(np.array([[0.0, -1.0, 2.0]]))
 
 
 def test_negbin_cost_zero_segment_is_free():

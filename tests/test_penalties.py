@@ -26,7 +26,6 @@ from oracles import (
     sparse_beta_closed_form,
 )
 from subsetcp import (
-    BASELINE_METHODS,
     GAUSSIAN,
     NEGBIN,
     CostModel,
@@ -34,17 +33,14 @@ from subsetcp import (
     NullModel,
     PenaltyConfig,
     RandomSource,
-    calibrate_baseline_threshold,
     calibrate_beta,
-    dense_cap,
     draw_intervals,
     gaussian_model,
     make_matrix,
     negbin_model,
-    scan_interval,
-    theoretical_penalties,
 )
 from subsetcp import baselines, costs, penalties
+from subsetcp.baselines import BASELINE_METHODS
 from subsetcp.penalties import (
     _aggregate_bounds,
     _aggregated_maxima,
@@ -53,8 +49,11 @@ from subsetcp.penalties import (
     _null_maxima,
     _screen_error,
     _screened_aggregates,
+    calibrate_baseline_threshold,
+    dense_cap,
+    theoretical_penalties,
 )
-from subsetcp.single_change import branch_sums
+from subsetcp.single_change import branch_sums, scan_interval
 
 
 def test_default_penalty_hand_values():

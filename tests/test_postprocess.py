@@ -14,9 +14,9 @@ from subsetcp import (
     SegmentationResult,
     gaussian_model,
     make_matrix,
-    optimal_partition,
     postprocess,
 )
+from subsetcp.postprocess import optimal_partition
 
 
 def _pen(alpha: float) -> PenaltyConfig:

@@ -13,8 +13,8 @@ from subsetcp import (
     negbin_model,
     postprocess,
     subset_wbs,
-    theoretical_penalties,
 )
+from subsetcp.penalties import theoretical_penalties
 
 N, D = 120, 6
 SEEDS = st.integers(0, 2**32 - 1)

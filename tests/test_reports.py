@@ -21,22 +21,25 @@ from subsetcp import (
     NumericalError,
     PenaltyConfig,
     RandomSource,
-    ScenarioSpec,
     SegmentationResult,
     TimeSeriesMatrix,
-    build_report,
     gaussian_model,
-    generate,
     make_matrix,
     negbin_model,
     pearson_residual_correlations,
     pearson_residuals,
-    read_csv,
-    theoretical_penalties,
-    write_pairs_csv,
 )
 from subsetcp.diagnostics import variate_segments
-from subsetcp.reports import _parse_cells, _parse_fast, atomic_write_text
+from subsetcp.penalties import theoretical_penalties
+from subsetcp.reports import (
+    _parse_cells,
+    _parse_fast,
+    atomic_write_text,
+    build_report,
+    read_csv,
+    write_pairs_csv,
+)
+from subsetcp.simlab import ScenarioSpec, generate
 
 
 def _pen() -> PenaltyConfig:
@@ -194,8 +197,7 @@ def test_numpy_read_matches_the_cell_loop(text):
 
 def _report_fixture():
     values = [[0.0, 0.0, 3.0, 3.0], [1.0, 1.0, 1.0, 1.0]]
-    matrix = make_matrix(values, names=("alpha", "beta"))
-    labeled = make_matrix(values, names=("alpha", "beta"))
+    matrix = TimeSeriesMatrix(values, ("alpha", "beta"))
     result = SegmentationResult(
         detections=(
             Detection(
@@ -232,8 +234,6 @@ def test_report_dict_shape_and_name_mapping():
 
 def test_report_uses_time_labels_when_present():
     values = np.array([[0.0, 0.0, 3.0, 3.0]])
-    from subsetcp import TimeSeriesMatrix
-
     matrix = TimeSeriesMatrix(values, ("a",), time_labels=("t1", "t2", "t3", "t4"))
     result = SegmentationResult(
         detections=(
@@ -255,9 +255,7 @@ def test_report_uses_time_labels_when_present():
 
 
 def test_pairs_csv_lists_each_assignment(tmp_path):
-    matrix = make_matrix(
-        [[0.0, 0.0, 3.0, 3.0], [0.0, 0.0, 3.0, 3.0]], names=("a", "b")
-    )
+    matrix = TimeSeriesMatrix([[0.0, 0.0, 3.0, 3.0], [0.0, 0.0, 3.0, 3.0]], ("a", "b"))
     result = SegmentationResult(
         detections=(
             Detection(

@@ -7,16 +7,18 @@ from oracles import amoc_scenario
 from subsetcp import (
     GAUSSIAN,
     NEGBIN,
-    ChangeSpec,
     Detection,
-    DetectorConfig,
     InputDataError,
-    MetricsReport,
     PenaltyConfig,
     RandomSource,
+    SegmentationResult,
+)
+from subsetcp.simlab import (
+    ChangeSpec,
+    DetectorConfig,
+    MetricsReport,
     ReplicateRow,
     ScenarioSpec,
-    SegmentationResult,
     evaluate,
     fit_model,
     generate,

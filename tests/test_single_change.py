@@ -17,16 +17,14 @@ from subsetcp import (
     KIND_DENSE,
     KIND_SPARSE,
     NEGBIN,
-    BaselineConfig,
     CostModel,
     PenaltyConfig,
     gaussian_model,
     make_matrix,
     negbin_model,
-    scan_interval,
-    scan_interval_baseline,
 )
-from subsetcp.single_change import branch_sums
+from subsetcp.baselines import BaselineConfig, scan_interval_baseline
+from subsetcp.single_change import branch_sums, scan_interval
 
 
 def test_split_gain_on_constant_series_is_zero():

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from subsetcp import (
-    BASELINE_METHODS,
     KIND_DENSE,
     NEGBIN,
-    BaselineConfig,
-    ChangeSpec,
     Detection,
     GAUSSIAN,
     InputDataError,
@@ -19,19 +16,18 @@ from subsetcp import (
     NullModel,
     PenaltyConfig,
     RandomSource,
-    ScenarioSpec,
     TimeSeriesMatrix,
     calibrate_beta,
     draw_intervals,
     gaussian_model,
-    generate,
     make_matrix,
     negbin_model,
     postprocess,
-    scan_interval,
-    scan_interval_baseline,
     subset_wbs,
 )
+from subsetcp.baselines import BASELINE_METHODS, BaselineConfig, scan_interval_baseline
+from subsetcp.simlab import ChangeSpec, ScenarioSpec, generate
+from subsetcp.single_change import scan_interval
 from subsetcp.wbs import segmentation_driver
 
 
