@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, wbs
-from .core import InputDataError, RandomSource, TimeSeriesMatrix
+from .core import InputDataError, RandomSource, make_matrix
 from .costs import (
     GAUSSIAN,
     NEGBIN,
@@ -112,12 +112,10 @@ class NullModel:
 
     def sample_model(self, n: int, d: int, rng: RandomSource) -> CostModel:
         g = rng.generator()
-        names = tuple(f"x{i}" for i in range(1, d + 1))
         if self.kind == GAUSSIAN:
-            matrix = TimeSeriesMatrix(g.standard_normal((d, n)), names)
+            matrix = make_matrix(g.standard_normal((d, n)))
             return gaussian_model(matrix, sigma=None if self.estimate_scale else 1.0)
-        matrix = TimeSeriesMatrix(g.negative_binomial(self.r, self.p, size=(d, n)), names)
-        return negbin_model(matrix)
+        return negbin_model(make_matrix(g.negative_binomial(self.r, self.p, size=(d, n))))
 
 
 def _null_maxima(

@@ -181,8 +181,15 @@ def write_report(report: dict, path: str | os.PathLike) -> None:
 
 
 def write_pairs_csv(report: dict, path: str | os.PathLike) -> None:
-    """Flat (tau, variate) rows, one per changepoint-variate assignment."""
+    """Flat (tau, variate) rows, one per changepoint-variate assignment.
+
+    A name holding a comma, a quote or a line break is quoted, with its
+    quotes doubled, so that ``csv.reader`` reads every name back unchanged.
+    """
     lines = ["tau,variate"]
     for det in report["detections"]:
-        lines.extend(f"{det['tau']},{name}" for name in det["affected"])
+        for name in det["affected"]:
+            if any(c in name for c in ',"\r\n'):
+                name = '"' + name.replace('"', '""') + '"'
+            lines.append(f"{det['tau']},{name}")
     atomic_write_text(path, "\n".join(lines) + "\n")

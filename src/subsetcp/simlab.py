@@ -23,8 +23,9 @@ from .core import (
     RandomSource,
     SegmentationResult,
     TimeSeriesMatrix,
+    make_matrix,
 )
-from .costs import GAUSSIAN, NEGBIN, CostModel, gaussian_model, negbin_model
+from .costs import GAUSSIAN, NEGBIN, gaussian_model, negbin_model
 from .penalties import NullModel, calibrate_baseline_threshold, calibrate_beta
 from .postprocess import postprocess
 from .wbs import draw_intervals, subset_wbs
@@ -208,21 +209,7 @@ def generate(
         values = signal + g.standard_normal((spec.d, spec.n))
     else:
         values = g.negative_binomial(spec.negbin_r, signal)
-    names = tuple(f"x{i}" for i in range(1, spec.d + 1))
-    return TimeSeriesMatrix(values, names), spec.changes
-
-
-def fit_model(matrix: TimeSeriesMatrix, spec: ScenarioSpec) -> CostModel:
-    """Cost model matching the scenario: unit variance is known for Gaussian
-    draws; count dispersion is re-estimated from the data as in production."""
-    if spec.model == GAUSSIAN:
-        return gaussian_model(matrix, sigma=1.0)
-    return negbin_model(matrix)
-
-
-def null_model(spec: ScenarioSpec) -> NullModel:
-    """Unit-variance Gaussian noise, or the scenario's base Neg-Bin(r, p)."""
-    return NullModel(kind=spec.model, r=spec.negbin_r, p=spec.negbin_p)
+    return make_matrix(values), spec.changes
 
 
 def matching_window(n: int) -> int:
@@ -345,30 +332,36 @@ def run_experiment(
     if reps < 1:
         raise InputDataError("need at least one replicate")
 
-    null = null_model(spec)
+    null = NullModel(kind=spec.model, r=spec.negbin_r, p=spec.negbin_p)
     calibration = dict(
         target_fp=detector.target_fp, reps=detector.calib_reps, intervals=detector.intervals
     )
     if detector.method == "subset":
         penalties = calibrate_beta(spec.n, spec.d, null, rng.child(0), **calibration)
+
+        def detect(model, interval_set):
+            result = subset_wbs(model, penalties, interval_set)
+            return postprocess(model, result) if detector.run_postprocess else result
+
     else:
         threshold = calibrate_baseline_threshold(
             spec.n, spec.d, detector.method, null, rng.child(0), **calibration
         )
         config = baselines.BaselineConfig(method=detector.method, threshold=threshold)
 
+        def detect(model, interval_set):
+            return baselines.baseline_wbs(model, config, interval_set)
+
     runs = []
     for rep in range(reps):
         matrix, truth = generate(spec, rng.child(1, rep, 0))
-        model = fit_model(matrix, spec)
-        interval_set = draw_intervals(spec.n, detector.intervals, rng.child(1, rep, 1))
-        if detector.method == "subset":
-            result = subset_wbs(model, penalties, interval_set)
-            if detector.run_postprocess:
-                result = postprocess(model, result)
+        # The draws' true sigma = 1 is taken as known; the detect command estimates it.
+        if spec.model == GAUSSIAN:
+            model = gaussian_model(matrix, sigma=1.0)
         else:
-            result = baselines.baseline_wbs(model, config, interval_set)
-        runs.append((result, truth))
+            model = negbin_model(matrix)
+        interval_set = draw_intervals(spec.n, detector.intervals, rng.child(1, rep, 1))
+        runs.append((detect(model, interval_set), truth))
     return evaluate(runs, spec.n, spec.d)
 
 

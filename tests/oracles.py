@@ -13,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import stats
 from scipy.special import erfc, gammaln, xlogy
 
 from subsetcp import (
@@ -302,6 +303,23 @@ def calibration_maxima(
         else:
             maxima.append(baseline_maxima(model, pairs, method))
     return np.array(maxima)
+
+
+def null_fire_rate(detect, null, n: int, d: int, k: int, rng) -> tuple[float, float, float]:
+    """Share of ``k`` null panels on which ``detect`` reports a change, with
+    its Clopper-Pearson 95% interval: (rate, low, high).
+
+    Panel ``rep`` is ``null.sample_model(n, d, rng.child(rep, 0))``, and
+    ``detect(model, rng.child(rep, 1))`` returns its ``SegmentationResult``,
+    drawing what else it needs (its intervals) from the stream it is given.
+    """
+    fires = sum(
+        bool(detect(null.sample_model(n, d, rng.child(rep, 0)), rng.child(rep, 1)).detections)
+        for rep in range(k)
+    )
+    low = stats.beta.ppf(0.025, fires, k - fires + 1) if fires else 0.0
+    high = stats.beta.ppf(0.975, fires + 1, k - fires) if fires < k else 1.0
+    return fires / k, float(low), float(high)
 
 
 def calibrated_beta(maxima: np.ndarray, d: int, target_fp: float) -> float:

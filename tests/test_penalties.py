@@ -9,11 +9,13 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -23,6 +25,7 @@ from oracles import (
     calibration_maxima,
     fixed_r_model,
     minimal_quiet_beta,
+    null_fire_rate,
     sparse_beta_closed_form,
 )
 from subsetcp import (
@@ -38,6 +41,7 @@ from subsetcp import (
     gaussian_model,
     make_matrix,
     negbin_model,
+    subset_wbs,
 )
 from subsetcp import baselines, costs, penalties
 from subsetcp.baselines import BASELINE_METHODS
@@ -54,6 +58,7 @@ from subsetcp.penalties import (
     theoretical_penalties,
 )
 from subsetcp.single_change import branch_sums, scan_interval
+from subsetcp.wbs import segmentation_driver
 
 
 def test_default_penalty_hand_values():
@@ -64,6 +69,43 @@ def test_default_penalty_hand_values():
     assert pen.beta == pytest.approx(14.506286085862488, abs=1e-12)
     assert pen.K == pytest.approx(pen.beta + 12 + math.sqrt(2 * pen.beta * 12), abs=1e-12)
     assert pen.source == "theoretical"
+
+
+@pytest.mark.parametrize("J", [2.0, 4.0])
+def test_theoretical_penalties_fire_on_a_wbs_run_as_documented(J):
+    # The guarantee covers one scan of (1, n): a run over 200 random
+    # intervals fires on most nulls with J = 2, and on few with J = 4.
+    n, d = 300, 12
+    pen = theoretical_penalties(n, d, J)
+    rate, low, high = null_fire_rate(
+        lambda model, rng: subset_wbs(model, pen, draw_intervals(n, 200, rng)),
+        NullModel(), n, d, k=100, rng=RandomSource(32),
+    )
+    if J == 2.0:
+        assert low > 0.5, f"fire rate {rate} in ({low:.3f}, {high:.3f})"
+    else:
+        assert high < 0.1, f"fire rate {rate} in ({low:.3f}, {high:.3f})"
+
+
+def test_null_fire_rate_gives_the_clopper_pearson_interval():
+    # Each end is the rate at which `fires` or more (or `fires` or fewer)
+    # of k has probability 0.025; a count of 0 or k pins its own end.
+    k = 12
+    for fires in (0, 5, k):
+        calls = iter(range(k))
+        rate, low, high = null_fire_rate(
+            lambda model, rng: SimpleNamespace(detections=(1,) if next(calls) < fires else ()),
+            NullModel(), 5, 2, k=k, rng=RandomSource(0),
+        )
+        assert rate == fires / k
+        if fires:
+            assert stats.binom.sf(fires - 1, k, low) == pytest.approx(0.025)
+        else:
+            assert low == 0.0
+        if fires < k:
+            assert stats.binom.cdf(fires, k, high) == pytest.approx(0.025)
+        else:
+            assert high == 1.0
 
 
 def test_dense_cap_hand_value():
@@ -653,6 +695,31 @@ def test_calibrated_beta_equals_the_unscreened_loop(n, d, intervals, null, seed)
     assert maxima.tobytes() == expected.tobytes()
     pen = calibrate_beta(n, d, null, RandomSource(seed), target_fp, reps, intervals)
     assert pen.beta == calibrated_beta(expected, d, target_fp)
+
+
+@pytest.mark.parametrize(
+    ("n", "intervals", "seed"), [(3, 5, 1), (8, 40, 2), (60, 100, 3), (200, 0, 4)]
+)
+def test_calibration_prices_the_intervals_the_detector_scans(n, intervals, seed):
+    # A calibrated beta bounds the detector's statistic only if each null
+    # replicate takes its maxima over what segmentation_driver scans on the
+    # same intervals before its recursion: the distinct stored pairs with
+    # a split.  The recording scanner finds nothing, so no recursion follows.
+    batches = []
+
+    def record(models, pairs):
+        batches.extend(pairs)
+        return np.zeros((len(models), 1))
+
+    rng = RandomSource(seed)
+    _null_maxima(n, 2, NullModel(), rng, 0.1, 20, intervals, record)
+    assert len(batches) == 20
+    for rep, pairs in enumerate(batches):
+        scanned = []
+        drawn = draw_intervals(n, intervals, rng.child(rep, 1))
+        segmentation_driver(n, drawn, lambda l, u: scanned.append((l, u)))
+        assert len(set(scanned)) == len(scanned)
+        assert set(map(tuple, pairs.tolist())) == set(scanned)
 
 
 @settings(max_examples=40, deadline=None)

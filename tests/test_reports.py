@@ -1,5 +1,6 @@
 """CSV input, JSON report round-trips, and model-fit diagnostics."""
 
+import csv
 import os
 import stat
 import tempfile
@@ -275,6 +276,36 @@ def test_pairs_csv_lists_each_assignment(tmp_path):
     path = tmp_path / "pairs.csv"
     write_pairs_csv(report, path)
     assert path.read_text() == "tau,variate\n2,a\n2,b\n"
+
+
+def test_pairs_csv_reads_back_every_name_that_read_csv_accepts(tmp_path):
+    # Names with a delimiter, a quote or a line break in them are legal in
+    # a quoted header; the pairs CSV must quote them in turn, including a
+    # bare carriage return.
+    names = ["a,b", "c", 'd"q', "e\rf", "g\nh", "i\r\nj"]
+    source = tmp_path / "data.csv"
+    with source.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["time", *names])
+        writer.writerows([[t, *(float(t + i) for i in range(len(names)))] for t in range(3)])
+    matrix = read_csv(source)
+    assert matrix.variate_names == tuple(names)
+    detection = Detection(
+        tau=1,
+        kind="dense",
+        affected=frozenset(range(1, len(names) + 1)),
+        statistic=9.0,
+        interval=(1, 3),
+    )
+    result = SegmentationResult(detections=(detection,), penalties=_pen(), n=3)
+    report = build_report(
+        matrix, result, "gaussian", seed=0, intervals=10, mean_residual_correlation=0.0
+    )
+    path = tmp_path / "pairs.csv"
+    write_pairs_csv(report, path)
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [["tau", "variate"], *(["1", name] for name in names)]
 
 
 def test_atomic_write_replaces_and_leaves_no_temp_files(tmp_path):

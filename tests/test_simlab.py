@@ -12,7 +12,9 @@ from subsetcp import (
     PenaltyConfig,
     RandomSource,
     SegmentationResult,
+    negbin_model,
 )
+from subsetcp import simlab
 from subsetcp.simlab import (
     ChangeSpec,
     DetectorConfig,
@@ -20,10 +22,8 @@ from subsetcp.simlab import (
     ReplicateRow,
     ScenarioSpec,
     evaluate,
-    fit_model,
     generate,
     matching_window,
-    null_model,
     replicate_table,
     run_experiment,
     scenario,
@@ -200,21 +200,75 @@ def test_count_generation_yields_integers_and_checks_probability():
         ScenarioSpec(model=NEGBIN, n=10, d=2, changes=(ChangeSpec(5, (1,), -0.6),))
 
 
-def test_fit_and_null_models_follow_the_scenario_kind():
-    gauss = scenario("Aprime", n=100, d=12)
-    matrix, _ = generate(gauss, RandomSource(606))
-    model = fit_model(matrix, gauss)
-    assert model.kind == GAUSSIAN
-    assert np.all(model.scale == 1.0)
-    assert null_model(gauss).kind == GAUSSIAN
+def _record_subset_runs(monkeypatch):
+    """Stub ``simlab.calibrate_beta`` and ``simlab.subset_wbs``; the returned
+    dict lists the nulls and models each was called with."""
+    calls = {"nulls": [], "models": []}
 
+    def calibrate(n, d, null, rng, **kwargs):
+        calls["nulls"].append(null)
+        return _pen()
+
+    def detect(model, penalties, intervals):
+        calls["models"].append(model)
+        return _result(model.n, [])
+
+    monkeypatch.setattr(simlab, "calibrate_beta", calibrate)
+    monkeypatch.setattr(simlab, "subset_wbs", detect)
+    return calls
+
+
+def test_experiments_fit_and_calibrate_as_the_scenario_kind_says(monkeypatch):
+    # Gaussian replicates are fitted with sigma = 1 known; count replicates
+    # estimate their dispersion from the data.  Calibration draws from the
+    # scenario's own null.
+    calls = _record_subset_runs(monkeypatch)
+    gauss = scenario("Aprime", n=100, d=12)
+    run_experiment(gauss, DetectorConfig(intervals=10), reps=2, rng=RandomSource(606))
+    assert [(null.kind, null.estimate_scale) for null in calls["nulls"]] == [(GAUSSIAN, False)]
+    assert [model.kind for model in calls["models"]] == [GAUSSIAN, GAUSSIAN]
+    assert all(np.all(model.scale == 1.0) for model in calls["models"])
+
+    calls = _record_subset_runs(monkeypatch)
     counts = scenario("Aprime", model="negbin", n=100, d=12, r=30.0, base_p=0.6)
-    cmatrix, _ = generate(counts, RandomSource(607))
-    cmodel = fit_model(cmatrix, counts)
-    assert cmodel.kind == NEGBIN
-    null = null_model(counts)
-    assert null.kind == NEGBIN
-    assert null.r == 30.0 and null.p == 0.6
+    run_experiment(counts, DetectorConfig(intervals=10), reps=2, rng=RandomSource(607))
+    [null] = calls["nulls"]
+    assert (null.kind, null.r, null.p) == (NEGBIN, 30.0, 0.6)
+    for rep, model in enumerate(calls["models"]):
+        matrix, _ = generate(counts, RandomSource(607).child(1, rep, 0))
+        assert model.kind == NEGBIN
+        assert np.array_equal(model.scale, negbin_model(matrix).scale)
+
+
+def test_experiments_reject_an_unknown_method_before_drawing_data(monkeypatch):
+    def generate(*args):
+        raise AssertionError("data drawn for an unknown method")
+
+    monkeypatch.setattr(simlab, "generate", generate)
+    spec = scenario("Aprime", n=100, d=12)
+    with pytest.raises(InputDataError, match="unknown baseline 'median'"):
+        run_experiment(spec, DetectorConfig(method="median"), reps=1, rng=RandomSource(0))
+
+
+def test_only_subset_with_postprocess_on_calls_postprocess(monkeypatch):
+    postprocessed = []
+
+    def postprocess(model, result):
+        postprocessed.append(result)
+        return result
+
+    monkeypatch.setattr(simlab, "postprocess", postprocess)
+    spec = scenario("Aprime", n=100, d=12, delta=2.0)
+    for detector in (
+        DetectorConfig(intervals=20, calib_reps=20, run_postprocess=False),
+        DetectorConfig(method="mean", intervals=20, calib_reps=20),
+    ):
+        run_experiment(spec, detector, reps=2, rng=RandomSource(608))
+    assert postprocessed == []
+    run_experiment(
+        spec, DetectorConfig(intervals=20, calib_reps=20), reps=2, rng=RandomSource(608)
+    )
+    assert len(postprocessed) == 2
 
 
 def test_matching_window_grows_logarithmically():
